@@ -32,6 +32,8 @@ from .wire import Envelope
 
 DEFAULT_COMMAND_TIMEOUT = 120.0
 DEFAULT_STARTUP_TIMEOUT = 60.0
+# How long close() lets workers that acknowledged stop exit on their own.
+STOP_GRACE = 2.0
 
 
 def default_worker_command() -> list:
@@ -274,7 +276,8 @@ class Driver:
 
     def scale_in(self, delta: int, timeout: Optional[float] = None) -> dict:
         """Remove the ``delta`` highest-ranked workers; returns the remaining
-        rank-0 worker's timing reply."""
+        rank-0 worker's timing reply, plus ``retiree_can_terminate``: each
+        retiree's host-retirement decision keyed by its incarnation id."""
         if not (1 <= delta < self.size):
             raise ValueError(
                 f"delta must be in [1, {self.size - 1}], got {delta}")
@@ -299,7 +302,11 @@ class Driver:
                     f"worker rank {handle.rank} did not retire")
         self.workers = sorted(remaining, key=lambda h: h.rank)
         self.epoch += 1
-        return replies[self.workers[0].incarnation_id]
+        reply = dict(replies[self.workers[0].incarnation_id])
+        reply["retiree_can_terminate"] = {
+            h.incarnation_id: replies[h.incarnation_id]["can_terminate"]
+            for h in removed}
+        return reply
 
     def wait_for_exit(self, handles=None, timeout: float = 10.0) -> dict:
         """Wait for worker processes to exit; returns {pid: returncode}."""
@@ -324,13 +331,16 @@ class Driver:
             self.workers = []
 
     def close(self) -> None:
+        stopping = list(self.workers)
         try:
             self.stop_all()
-        except EGroupError:
-            pass
-        except TimeoutError:
-            pass
+        except (EGroupError, TimeoutError):
+            stopping = []
         finally:
+            if stopping:
+                # Workers that acknowledged stop exit 0 by themselves; a
+                # signal now would cut short whatever they do on the way out.
+                self.wait_for_exit(stopping, timeout=STOP_GRACE)
             for proc in self._procs:
                 if proc.poll() is None:
                     proc.terminate()

@@ -131,14 +131,24 @@ class Launcher:
 
 
 class LocalProcessLauncher(Launcher):
-    """Run children as local subprocesses with the ticket in their environment."""
+    """Run children as local subprocesses with the ticket in their environment.
+
+    Exited children are reaped by polling at each launch and stop, the way
+    subprocess reaps abandoned Popen objects, so no thread waits on them.
+    Keep one launcher for the life of the spawning process.
+    """
 
     def __init__(self, extra_env: Optional[dict] = None, stdout=None, stderr=None):
         self.extra_env = dict(extra_env) if extra_env else {}
         self.stdout = stdout
         self.stderr = stderr
+        self._children = []
+
+    def _reap(self) -> None:
+        self._children = [p for p in self._children if p.poll() is None]
 
     def launch(self, spec: SpawnSpec, index: int, ticket_env: dict):
+        self._reap()
         env = {k: v for k, v in os.environ.items()
                if not k.startswith(ENV_PREFIX)}
         env.update(self.extra_env)
@@ -149,12 +159,11 @@ class LocalProcessLauncher(Launcher):
                                     stdout=self.stdout, stderr=self.stderr)
         except OSError as exc:
             raise SpawnError(f"cannot launch {spec.program}: {exc}") from exc
-        # Reap in the background so abandoned children never linger as zombies.
-        threading.Thread(target=proc.wait, daemon=True,
-                         name=f"reap-{proc.pid}").start()
+        self._children.append(proc)
         return proc
 
     def stop(self, handle) -> None:
+        self._reap()
         if handle.poll() is not None:
             return
         handle.terminate()

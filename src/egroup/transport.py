@@ -1,9 +1,11 @@
 """Reliable, ordered, framed point-to-point messaging over TCP.
 
 Each process owns one Endpoint: a listening socket plus one live channel per
-peer. A background thread per channel receives frames and either buffers them
-for ``recv`` or, when an envelope belongs to a superseded epoch, rejects it
-and sends a notice back to the sender so the rejection is observable.
+peer. One I/O loop thread per Endpoint reads every socket: it answers the
+handshake of each accepted connection, then either buffers each envelope for
+``recv`` or, when it belongs to a superseded epoch, rejects it and sends a
+notice back to the sender so the rejection is observable. Senders write from
+their own thread; the loop itself writes only small control frames.
 
 The public operations are safe to call from one application control flow per
 process; channel handles may move between threads but must not be used from
@@ -12,9 +14,12 @@ two threads at once.
 
 from __future__ import annotations
 
+import functools
 import logging
+import selectors
 import socket
 import threading
+import time
 from collections import deque
 from typing import Callable, Optional
 
@@ -33,6 +38,7 @@ log = logging.getLogger(__name__)
 
 HANDSHAKE_TIMEOUT = 10.0
 CONNECT_TIMEOUT = 10.0
+RECV_BYTES = 64 * 1024
 
 
 def parse_address(address: str) -> tuple:
@@ -42,8 +48,11 @@ def parse_address(address: str) -> tuple:
     return host, int(port)
 
 
-def format_address(host: str, port: int) -> str:
-    return f"{host}:{port}"
+def _control(kind: str, frame_epoch: int = 0, /, **fields) -> Envelope:
+    """A tag-0 control envelope; ``fields`` may carry their own epoch."""
+    return Envelope(epoch=frame_epoch, tag=wire.TAG_CONTROL,
+                    src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
+                    payload=wire.control_payload(kind, **fields))
 
 
 class FencingState:
@@ -82,23 +91,21 @@ class FencingState:
 
 
 class Channel:
-    """One live connection to a peer, created by connect() or by the acceptor."""
+    """One live connection to a peer, created by connect() or accepted by the
+    endpoint's I/O loop (whose peer is unknown until its hello arrives)."""
 
-    def __init__(self, sock: socket.socket, peer_id: str, peer_epoch: int,
-                 initiator_id: str, endpoint: "Endpoint"):
+    def __init__(self, sock: socket.socket, peer_id: Optional[str],
+                 initiator_id: Optional[str], endpoint: "Endpoint"):
         self.sock = sock
         self.peer_id = peer_id
-        self.peer_epoch = peer_epoch
         self.initiator_id = initiator_id
         self._endpoint = endpoint
+        # Bytes read by the I/O loop that do not yet make a whole frame.
+        self._rbuf = bytearray()
         self._wlock = threading.Lock()
         self._closed = threading.Event()
         self._notice_cond = threading.Condition()
         self._notices = deque()
-
-    @property
-    def initiated_here(self) -> bool:
-        return self.initiator_id == self._endpoint.identity
 
     @property
     def closed(self) -> bool:
@@ -119,37 +126,23 @@ class Channel:
     def wait_reject(self, timeout: Optional[float] = None) -> Optional[dict]:
         """Pop the oldest rejection notice from the peer, waiting if needed."""
         with self._notice_cond:
-            if not self._notices:
-                self._notice_cond.wait(timeout)
-            if self._notices:
-                return self._notices.popleft()
-        return None
+            self._notice_cond.wait_for(lambda: self._notices or self.closed, timeout)
+            return self._notices.popleft() if self._notices else None
 
     def _push_notice(self, notice: dict) -> None:
         with self._notice_cond:
             self._notices.append(notice)
             self._notice_cond.notify_all()
 
-    def close(self, notify_peer: bool = False) -> None:
+    def close(self) -> None:
         if self._closed.is_set():
             return
         self._closed.set()
-        if notify_peer:
-            try:
-                with self._wlock:
-                    self.sock.sendall(wire.pack(Envelope(
-                        epoch=0, tag=wire.TAG_CONTROL,
-                        src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-                        payload=wire.control_payload("close"),
-                    )))
-            except OSError:
-                pass
+        # Shutdown fails any send in flight and shows the peer EOF at once;
+        # the I/O loop closes the socket itself, so its descriptor cannot be
+        # reused while the loop still watches it.
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
         except OSError:
             pass
         with self._notice_cond:
@@ -162,26 +155,24 @@ class Channel:
 
 
 class Endpoint:
-    """Listening socket, channel table, and the shared receive buffer."""
+    """Listening socket, channel table, the shared receive buffer, and the
+    I/O loop thread that serves them."""
 
     def __init__(self, address: str, identity: str, fencing: FencingState):
         self.identity = identity
         self.fencing = fencing
         host, port = parse_address(address)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
-            self._listener.bind((host, port))
+            self._listener = socket.create_server((host, port), backlog=128)
         except OSError as exc:
-            self._listener.close()
             raise SetupError(f"cannot bind {address}: {exc}") from exc
-        self._listener.listen(128)
-        self.listen_address = format_address(host, self._listener.getsockname()[1])
+        self._listener.setblocking(False)
+        self.listen_address = f"{host}:{self._listener.getsockname()[1]}"
 
         self._lock = threading.RLock()
         # All live channels keyed by peer incarnation id, whether this side
         # accepted or initiated them; at most one per peer.
-        self.accepted_channels = {}
+        self.channels = {}
         self._chan_cond = threading.Condition(self._lock)
         self._buf_cond = threading.Condition()
         self._buffer = deque()
@@ -189,9 +180,20 @@ class Endpoint:
         self.stale_rejected_count = 0
         self.delivered_count = 0
 
-        self._acceptor = threading.Thread(
-            target=self._accept_loop, name=f"accept-{identity}", daemon=True)
-        self._acceptor.start()
+        # Only the loop touches the selector. Other threads queue channels
+        # for it to watch and write a byte to the wake-up socketpair.
+        self._selector = selectors.DefaultSelector()
+        self._adding = deque()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
+        # Accepted connections still owing a hello, with their deadlines.
+        self._handshakes = {}
+        self._selector.register(self._listener, selectors.EVENT_READ, self._accept)
+        self._selector.register(self._wake_r, selectors.EVENT_READ,
+                                lambda: self._wake_r.recv(4096))
+        self._loop = threading.Thread(
+            target=self._io_loop, name=f"io-{identity}", daemon=True)
+        self._loop.start()
 
     # -- connection management -------------------------------------------------
 
@@ -212,23 +214,18 @@ class Endpoint:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(HANDSHAKE_TIMEOUT)
         try:
-            sock.sendall(wire.pack(Envelope(
-                epoch=max(epoch, 0), tag=wire.TAG_CONTROL,
-                src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-                payload=wire.control_payload(
-                    "hello", incarnation_id=self_id, epoch=epoch),
-            )))
-            reply = wire.read_envelope(sock)
+            sock.sendall(wire.pack(_control(
+                "hello", max(epoch, 0), incarnation_id=self_id, epoch=epoch)))
+            msg = wire.parse_control(wire.read_envelope(sock).payload)
         except (OSError, ProtocolError) as exc:
             sock.close()
             raise ConnectError(f"handshake with {address} failed: {exc}") from exc
-        msg = wire.parse_control(reply.payload)
-        kind = msg.get("kind")
-        if kind == "hello_reject":
+        kind, peer_id = msg.get("kind"), msg.get("incarnation_id")
+        if kind != "hello_ok" or (expect_id is not None and peer_id != expect_id):
             sock.close()
-            reason = msg.get("reason")
-            if reason == "duplicate":
-                survivor = self.await_channel(msg.get("incarnation_id"), HANDSHAKE_TIMEOUT)
+        if kind == "hello_reject":
+            if msg.get("reason") == "duplicate":
+                survivor = self.await_channel(peer_id, HANDSHAKE_TIMEOUT)
                 if survivor is not None:
                     return survivor
                 raise ConnectError(f"duplicate connect to {address} and no surviving channel")
@@ -237,30 +234,28 @@ class Endpoint:
                 f"(peer is at {msg.get('epoch')})",
                 envelope_epoch=epoch, receiver_epoch=msg.get("epoch"))
         if kind != "hello_ok":
-            sock.close()
             raise ConnectError(f"unexpected handshake reply {kind!r} from {address}")
-        peer_id = msg["incarnation_id"]
         if expect_id is not None and peer_id != expect_id:
-            sock.close()
             raise ConnectError(
                 f"endpoint at {address} is {peer_id}, expected {expect_id}")
         sock.settimeout(None)
-        channel = Channel(sock, peer_id, msg.get("epoch", 0), self_id, self)
+        channel = Channel(sock, peer_id, self_id, self)
+        self._watch_soon(channel)
         return self._adopt(channel)
 
     def channel_to(self, peer_id: str) -> Optional[Channel]:
         with self._lock:
-            return self.accepted_channels.get(peer_id)
+            return self.channels.get(peer_id)
 
     def await_channel(self, peer_id: str, timeout: float) -> Optional[Channel]:
         """Wait for a live channel to ``peer_id`` to appear (peer-initiated)."""
         with self._chan_cond:
             self._chan_cond.wait_for(
-                lambda: self._closed or peer_id in self.accepted_channels,
+                lambda: self._closed or peer_id in self.channels,
                 timeout)
             if self._closed:
                 raise ShutdownError("endpoint closed while waiting for a channel")
-            return self.accepted_channels.get(peer_id)
+            return self.channels.get(peer_id)
 
     def _adopt(self, channel: Channel) -> Channel:
         """Insert a freshly handshaken channel, collapsing duplicates.
@@ -272,7 +267,7 @@ class Endpoint:
             if self._closed:
                 channel.close()
                 raise ShutdownError("endpoint is closed")
-            existing = self.accepted_channels.get(channel.peer_id)
+            existing = self.channels.get(channel.peer_id)
             if existing is not None and not existing.closed:
                 if existing.initiator_id == channel.initiator_id:
                     winner, loser = channel, existing  # reconnect: newest wins
@@ -282,147 +277,150 @@ class Endpoint:
                     winner, loser = channel, existing
             else:
                 winner, loser = channel, None
-            self.accepted_channels[channel.peer_id] = winner
+            self.channels[channel.peer_id] = winner
             self._chan_cond.notify_all()
         if loser is not None and loser is not winner:
             loser.close()
-        if winner is channel:
-            threading.Thread(
-                target=self._reader_loop, args=(channel,),
-                name=f"reader-{self.identity}-{channel.peer_id}", daemon=True,
-            ).start()
         return winner
 
     def _forget_channel(self, channel: Channel) -> None:
         with self._lock:
-            if self.accepted_channels.get(channel.peer_id) is channel:
-                del self.accepted_channels[channel.peer_id]
+            if self.channels.get(channel.peer_id) is channel:
+                del self.channels[channel.peer_id]
 
-    # -- background reception --------------------------------------------------
+    # -- the I/O loop ----------------------------------------------------------
 
-    def _accept_loop(self):
-        while True:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            if self._closed:
-                sock.close()
-                return
-            threading.Thread(
-                target=self._handshake_incoming, args=(sock,),
-                name=f"handshake-{self.identity}", daemon=True).start()
-
-    def _handshake_incoming(self, sock: socket.socket):
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(HANDSHAKE_TIMEOUT)
-        try:
-            hello = wire.read_envelope(sock)
-            msg = wire.parse_control(hello.payload)
-            if msg.get("kind") != "hello":
-                raise ProtocolError(f"expected hello, got {msg.get('kind')!r}")
-            peer_id = msg["incarnation_id"]
-            peer_epoch = int(msg["epoch"])
-        except (OSError, ProtocolError, KeyError, ValueError) as exc:
-            log.debug("handshake from %s failed: %s", self.identity, exc)
-            sock.close()
-            return
-
-        def reject(reason, **fields):
-            try:
-                sock.sendall(wire.pack(Envelope(
-                    epoch=0, tag=wire.TAG_CONTROL,
-                    src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-                    payload=wire.control_payload(
-                        "hello_reject", reason=reason,
-                        incarnation_id=self.identity, **fields),
-                )))
-            except OSError:
-                pass
-            sock.close()
-
-        if peer_epoch >= 0 and self.fencing.is_stale(peer_epoch):
-            self._bump_stale()
-            reject("stale_epoch", epoch=self.fencing.current)
-            return
+    def _watch_soon(self, channel: Channel) -> None:
+        """Queue a connected channel for the loop to read."""
         with self._lock:
-            existing = self.accepted_channels.get(peer_id)
-            refuse = (existing is not None and not existing.closed
-                      and existing.initiator_id < peer_id)
-        if refuse:
-            reject("duplicate")
-            return
+            if self._closed:
+                channel.sock.close()
+                raise ShutdownError("endpoint is closed")
+            # Once _closed is set the loop exits and closes what is queued.
+            self._adding.append(channel)
+            try:
+                self._wake_w.send(b"\0")
+            except BlockingIOError:
+                pass  # the loop has unread wake-ups already
+
+    def _io_loop(self) -> None:
         try:
-            sock.sendall(wire.pack(Envelope(
-                epoch=0, tag=wire.TAG_CONTROL,
-                src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-                payload=wire.control_payload(
-                    "hello_ok", incarnation_id=self.identity,
-                    epoch=self.fencing.current),
-            )))
+            while not self._closed:
+                now = time.monotonic()
+                for channel in [c for c, t in self._handshakes.items() if t <= now]:
+                    self._drop(channel)
+                timeout = min(self._handshakes.values()) - now if self._handshakes else None
+                for key, _ in self._selector.select(timeout):
+                    try:
+                        key.data()
+                    except Exception:
+                        log.exception("I/O loop of %s", self.identity)
+                while self._adding:
+                    channel = self._adding.popleft()
+                    self._selector.register(channel.sock, selectors.EVENT_READ,
+                                            functools.partial(self._read, channel))
+        finally:
+            for key in list(self._selector.get_map().values()):
+                key.fileobj.close()
+            for channel in self._adding:
+                channel.sock.close()
+            self._selector.close()
+
+    def _drop(self, channel: Channel) -> None:
+        channel.close()
+        self._handshakes.pop(channel, None)
+        self._selector.unregister(channel.sock)
+        with channel._wlock:
+            channel.sock.close()
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._listener.accept()
         except OSError:
-            sock.close()
+            return  # nothing pending after all, or the dialer gave up
+        sock.setblocking(True)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        channel = Channel(sock, None, None, self)
+        self._handshakes[channel] = time.monotonic() + HANDSHAKE_TIMEOUT
+        self._selector.register(sock, selectors.EVENT_READ,
+                                functools.partial(self._read, channel))
+
+    def _read(self, channel: Channel) -> None:
+        try:
+            data = channel.sock.recv(RECV_BYTES, socket.MSG_DONTWAIT)
+        except BlockingIOError:
             return
-        sock.settimeout(None)
-        channel = Channel(sock, peer_id, peer_epoch, peer_id, self)
+        except OSError:
+            data = b""
+        # Channel.close shuts the socket down, which makes it readable, so
+        # the loop gets here to release a channel closed by any thread.
+        if not data or channel.closed:
+            self._drop(channel)
+            return
+        channel._rbuf += data
+        delivered = []
+        try:
+            for envelope in wire.cut_frames(channel._rbuf):
+                if channel.closed:
+                    break
+                if channel in self._handshakes:
+                    self._answer_hello(channel, envelope)
+                elif envelope.tag == wire.TAG_CONTROL:
+                    msg = wire.parse_control(envelope.payload)
+                    if msg["kind"] == "reject_notice":
+                        channel._push_notice(msg)
+                elif self.fencing.is_stale(envelope.epoch):
+                    self._reject_envelope(channel, envelope)
+                else:
+                    delivered.append((envelope, channel))
+        except ProtocolError as exc:
+            log.warning("dropping malformed frame from %s: %s", channel.peer_id, exc)
+            channel.close()
+        if delivered:
+            with self._buf_cond:
+                self._buffer.extend(delivered)
+                self._buf_cond.notify_all()
+
+    def _answer_hello(self, channel: Channel, hello: Envelope) -> None:
+        """Handle the first frame of an accepted connection: admit the dialer,
+        or refuse it as stale or as the losing duplicate."""
+        del self._handshakes[channel]
+        msg = wire.parse_control(hello.payload)
+        peer_id, peer_epoch = msg.get("incarnation_id"), msg.get("epoch")
+        if not (msg["kind"] == "hello" and isinstance(peer_id, str)
+                and isinstance(peer_epoch, int)):
+            raise ProtocolError(f"expected a hello, got {msg}")
+        kind, fields = "hello_ok", {"epoch": self.fencing.current}
+        with self._lock:
+            existing = self.channels.get(peer_id)
+            if peer_epoch >= 0 and self.fencing.is_stale(peer_epoch):
+                self.stale_rejected_count += 1
+                kind, fields["reason"] = "hello_reject", "stale_epoch"
+            elif (existing is not None and not existing.closed
+                    and existing.initiator_id < peer_id):
+                kind, fields = "hello_reject", {"reason": "duplicate"}
+        try:
+            channel.send(_control(kind, incarnation_id=self.identity, **fields))
+        except DeliveryError:
+            return
+        if kind == "hello_reject":
+            channel.close()
+            return
+        channel.peer_id = channel.initiator_id = peer_id
         try:
             self._adopt(channel)
         except ShutdownError:
             pass
 
-    def _reader_loop(self, channel: Channel):
-        while not channel.closed:
-            try:
-                envelope = wire.read_envelope(channel.sock)
-            except (ConnectionError, OSError):
-                break
-            except ProtocolError as exc:
-                log.warning("dropping malformed frame from %s: %s",
-                            channel.peer_id, exc)
-                break
-            if envelope.tag == wire.TAG_CONTROL:
-                self._handle_control(channel, envelope)
-                continue
-            if self.fencing.is_stale(envelope.epoch):
-                self._reject_envelope(channel, envelope)
-                continue
-            with self._buf_cond:
-                self._buffer.append((envelope, channel))
-                self._buf_cond.notify_all()
-        channel.close()
-
-    def _handle_control(self, channel: Channel, envelope: Envelope):
-        try:
-            msg = wire.parse_control(envelope.payload)
-        except ProtocolError:
-            return
-        kind = msg.get("kind")
-        if kind == "reject_notice":
-            channel._push_notice(msg)
-        elif kind == "close":
-            channel.close()
-
     def _reject_envelope(self, channel: Channel, envelope: Envelope):
         """Fence off a stale envelope: never buffer it, tell the sender."""
-        self._bump_stale()
-        notice = Envelope(
-            epoch=0, tag=wire.TAG_CONTROL,
-            src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-            payload=wire.control_payload(
-                "reject_notice",
-                envelope_epoch=envelope.epoch,
-                receiver_epoch=self.fencing.current,
-                tag=envelope.tag,
-            ),
-        )
-        try:
-            channel.send(notice)
-        except DeliveryError:
-            pass
-
-    def _bump_stale(self):
         with self._lock:
             self.stale_rejected_count += 1
+        try:
+            channel.send(_control("reject_notice", envelope_epoch=envelope.epoch,
+                                  receiver_epoch=self.fencing.current, tag=envelope.tag))
+        except DeliveryError:
+            pass
 
     # -- receive side ----------------------------------------------------------
 
@@ -435,8 +433,11 @@ class Endpoint:
         return envelope
 
     def recv_with_channel(self, match=None, timeout=None):
-        """Like recv() but also returns the channel the envelope arrived on."""
+        """Like recv() but also returns the channel the envelope arrived on.
+        ``timeout`` is one deadline for the whole call, however many
+        non-matching envelopes arrive meanwhile."""
         pred = match if match is not None else (lambda e: True)
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._buf_cond:
             while True:
                 if self._closed:
@@ -446,7 +447,8 @@ class Endpoint:
                         del self._buffer[i]
                         self.delivered_count += 1
                         return envelope, channel
-                if not self._buf_cond.wait(timeout):
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if not self._buf_cond.wait(remaining):
                     raise TimeoutError("no matching envelope arrived in time")
 
     def purge_stale(self):
@@ -474,20 +476,16 @@ class Endpoint:
             if self._closed:
                 return
             self._closed = True
-            channels = list(self.accepted_channels.values())
+            channels = list(self.channels.values())
             self._chan_cond.notify_all()
-        # shutdown wakes a thread blocked in accept(); close alone leaves it
-        # holding the kernel file and the port stays in LISTEN
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
         for channel in channels:
             channel.close()
+        # Closing the write end wakes the loop, which sees _closed, closes
+        # every socket it holds (the listener too, so the port is free once
+        # close returns) and exits.
+        self._wake_w.close()
+        if threading.current_thread() is not self._loop:
+            self._loop.join(HANDSHAKE_TIMEOUT)
         with self._buf_cond:
             self._buf_cond.notify_all()
 

@@ -2,8 +2,8 @@
 
 Every frame is a 4-byte big-endian length prefix followed by a fixed header
 (epoch u64, tag u32, src i32, dst i32, all big-endian) and the payload bytes.
-Tag 0 is reserved for transport control messages (handshake, rejection
-notices, close); tags 1-15 are reserved for the driver command protocol;
+Tag 0 is reserved for transport control messages (handshake and rejection
+notices); tags 1-15 are reserved for the driver command protocol;
 application traffic and collectives use tags from 16 upward, plus a few fixed
 high tags for spawn/merge control.
 """
@@ -106,14 +106,36 @@ def read_exact(sock, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_envelope(sock) -> Envelope:
-    """Read one complete frame from a blocking socket."""
-    (length,) = LENGTH_PREFIX.unpack(read_exact(sock, LENGTH_PREFIX.size))
+def _check_length(length: int) -> None:
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {length} bytes exceeds limit")
     if length < HEADER.size:
         raise ProtocolError("frame shorter than header")
+
+
+def read_envelope(sock) -> Envelope:
+    """Read one complete frame from a blocking socket."""
+    (length,) = LENGTH_PREFIX.unpack(read_exact(sock, LENGTH_PREFIX.size))
+    _check_length(length)
     return unpack_body(read_exact(sock, length))
+
+
+def cut_frames(buf: bytearray):
+    """Yield every complete frame at the front of ``buf``, removing the bytes
+    of each one yielded; a trailing partial frame stays for the next read."""
+    start = 0
+    try:
+        while len(buf) - start >= LENGTH_PREFIX.size:
+            (length,) = LENGTH_PREFIX.unpack_from(buf, start)
+            _check_length(length)
+            end = start + LENGTH_PREFIX.size + length
+            if end > len(buf):
+                return
+            body = bytes(buf[start + LENGTH_PREFIX.size:end])
+            start = end
+            yield unpack_body(body)
+    finally:
+        del buf[:start]
 
 
 def control_payload(kind: str, **fields) -> bytes:

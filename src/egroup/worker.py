@@ -30,6 +30,7 @@ from .spawner import (
     ENV_PARENT_ADDR,
     ENV_RENDEZVOUS_ADDR,
     ENV_WORLD_SIZE,
+    LocalProcessLauncher,
 )
 from .wire import Envelope
 
@@ -129,6 +130,9 @@ def _drain_rejections(node, drain_timeout):
 
 def _serve(node, group, channel, drain_timeout):
     """Execute driver commands until stop or retirement. Returns exit status."""
+    # One launcher for every scale-out, so it can reap the children it
+    # started in earlier ones.
+    launcher = LocalProcessLauncher()
     while True:
         cmd_env = node.endpoint.recv(wire_tag_is(wire.TAG_DRIVER_CMD))
         cmd = wire.parse_json_payload(cmd_env.payload)
@@ -175,6 +179,7 @@ def _serve(node, group, channel, drain_timeout):
                     group, cmd["num_add"], cmd["child_program"],
                     cmd.get("host_labels"),
                     child_args=cmd.get("child_args", ()),
+                    launcher=launcher,
                     registration_timeout=cmd.get("registration_timeout", 30.0),
                     phases=phases)
                 total = time.perf_counter() - start

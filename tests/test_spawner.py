@@ -1,5 +1,7 @@
 """Spawn, registration, and child bootstrap."""
 
+import os
+import sys
 import threading
 import time
 
@@ -249,6 +251,20 @@ class TestSpawnWithThreads:
 
 
 class TestSpawnWithProcesses:
+    def test_launcher_reaps_by_polling_without_threads(self):
+        launcher = LocalProcessLauncher()
+        spec = SpawnSpec(program=sys.executable, args=("-c", "pass"))
+        before = set(threading.enumerate())
+        first = launcher.launch(spec, 0, {})
+        assert not set(threading.enumerate()) - before
+        # Wait for the exit without reaping, so only the launcher can reap.
+        os.waitid(os.P_PID, first.pid, os.WEXITED | os.WNOWAIT)
+        assert first.returncode is None
+        second = launcher.launch(spec, 0, {})
+        assert first.returncode == 0
+        assert second.wait(10) == 0
+        launcher.stop(second)
+
     def test_missing_executable_names_program(self):
         with cluster(1) as groups:
             with pytest.raises(SpawnError) as excinfo:

@@ -1,13 +1,20 @@
 """Transport behavior: connection lifecycle, ordering, buffering, fencing."""
 
+import socket
 import threading
 import time
 
 import pytest
 
-from egroup import wire
+from egroup import transport, wire
 from egroup.errors import ConnectError, DeliveryError, SetupError, ShutdownError
-from egroup.transport import Endpoint, FencingState, listen, match_fields
+from egroup.transport import (
+    Endpoint,
+    FencingState,
+    listen,
+    match_fields,
+    parse_address,
+)
 from egroup.wire import Envelope
 
 
@@ -154,8 +161,8 @@ def test_simultaneous_connect_single_survivor():
             t1.join(10); t2.join(10)
             assert not t1.is_alive() and not t2.is_alive()
             time.sleep(0.2)  # let duplicate collapse settle
-            live_a = [c for c in a.accepted_channels.values() if not c.closed]
-            live_b = [c for c in b.accepted_channels.values() if not c.closed]
+            live_a = [c for c in a.channels.values() if not c.closed]
+            live_b = [c for c in b.channels.values() if not c.closed]
             assert len(live_a) == 1 and len(live_b) == 1
             assert live_a[0].initiator_id == "aaa"
             assert live_b[0].initiator_id == "aaa"
@@ -261,3 +268,102 @@ def test_fencing_state_tracks_current_and_retired():
     f.retire(5)
     assert f.is_retired(5) and f.is_stale(5)
     assert not f.is_stale(6)
+
+
+def test_recv_timeout_is_a_deadline_under_unrelated_traffic():
+    # Non-matching envelopes keep arriving at 10 Hz; the wait must still end
+    # at its deadline instead of restarting on every arrival.
+    a, b = make_endpoint("a", 0), make_endpoint("b", 0)
+    stop = threading.Event()
+    chatter = None
+    try:
+        ch = a.connect(b.listen_address)
+
+        def chat():
+            for _ in range(30):  # bounded, so a broken deadline fails, not hangs
+                if stop.wait(0.1):
+                    return
+                ch.send(env(tag=21))
+
+        chatter = threading.Thread(target=chat, daemon=True)
+        chatter.start()
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            b.recv(match_fields(tag=99), timeout=0.5)
+        assert time.monotonic() - start < 1.5
+    finally:
+        stop.set()
+        if chatter is not None:
+            chatter.join(5)
+            assert not chatter.is_alive()
+        a.close()
+        b.close()
+
+
+def test_one_thread_per_endpoint_none_per_channel():
+    before = set(threading.enumerate())
+    eps = [make_endpoint(f"m{i}", 0) for i in range(4)]
+    try:
+        for i, x in enumerate(eps):
+            for y in eps[i + 1:]:
+                x.connect(y.listen_address)
+        for x in eps:
+            for y in eps:
+                if y is not x:
+                    assert x.await_channel(y.identity, 5) is not None
+        added = set(threading.enumerate()) - before
+        assert len(added) == len(eps)
+        assert sorted(t.name for t in added) == [f"io-m{i}" for i in range(4)]
+    finally:
+        for x in eps:
+            x.close()
+    assert not (set(threading.enumerate()) - before)
+
+
+def test_stalled_dialer_blocks_nobody_and_expires(monkeypatch):
+    # A raw dialer that sends half a length prefix and stalls must not hold
+    # up traffic on the same endpoint, and is cut off at the handshake
+    # deadline.
+    monkeypatch.setattr(transport, "HANDSHAKE_TIMEOUT", 1.0)
+    a, b = make_endpoint("a", 0), make_endpoint("b", 0)
+    raw = socket.create_connection(parse_address(b.listen_address), 5)
+    try:
+        raw.sendall(b"\x00\x00")
+        start = time.monotonic()
+        ch = a.connect(b.listen_address)
+        ch.send(env(payload=b"ping"))
+        assert b.recv(timeout=5).payload == b"ping"
+        b.channel_to("a").send(env(payload=b"pong"))
+        assert a.recv(timeout=5).payload == b"pong"
+        assert time.monotonic() - start < 0.5
+        raw.settimeout(5)
+        assert raw.recv(1) == b""  # closed by the endpoint, not by us
+        assert time.monotonic() - start < 3.0
+    finally:
+        raw.close()
+        a.close()
+        b.close()
+
+
+def test_malformed_frame_closes_only_that_channel():
+    a, b, c = (make_endpoint(name, 0) for name in ("a", "b", "c"))
+    try:
+        bad = a.connect(b.listen_address)
+        good = c.connect(b.listen_address)
+        assert b.await_channel("a", 5) is not None
+        # A length prefix shorter than the fixed header is corruption.
+        bad.sock.sendall(wire.LENGTH_PREFIX.pack(3))
+        deadline = time.monotonic() + 5
+        while (b.channel_to("a") is not None or not bad.closed) \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert b.channel_to("a") is None
+        assert bad.closed
+        good.send(env(payload=b"still-here"))
+        assert b.recv(timeout=5).payload == b"still-here"
+        b.channel_to("c").send(env(payload=b"and-back"))
+        assert c.recv(timeout=5).payload == b"and-back"
+    finally:
+        a.close()
+        b.close()
+        c.close()

@@ -63,6 +63,19 @@ class TestFleet:
             codes = drv.wait_for_exit(timeout=10)
             assert list(codes.values()) == [0, 0]
 
+    def test_close_lets_stopped_workers_exit_zero(self):
+        # close() sends stop; workers that acknowledge it must get to exit
+        # on their own rather than being terminated by signal.
+        drv = Driver(startup_timeout=30)
+        procs = []
+        try:
+            drv.start_fleet(4)
+            drv.barrier()
+            procs = [h.proc for h in drv.workers]
+        finally:
+            drv.close()
+        assert [p.returncode for p in procs] == [0, 0, 0, 0]
+
 
 class TestFleetScaling:
     def test_scale_out_keeps_ranks_and_connects_children(self):
@@ -108,6 +121,19 @@ class TestFleetScaling:
             pings = drv.ping()
             assert sorted(m["rank"] for m in pings.values()) == [0, 1, 2]
             assert doomed.incarnation_id not in pings
+
+    def test_scale_in_reports_retiree_host_decisions(self):
+        # Four retirees alone on node1 may each retire their host; the
+        # remaining root on node0 may not.
+        with Driver(slots_per_host=4, startup_timeout=30) as drv:
+            drv.start_fleet(4)
+            drv.scale_out(4)
+            retirees = [h.incarnation_id for h in drv.workers[4:]]
+            assert [h.member.host_label for h in drv.workers[4:]] == ["node1"] * 4
+            reply = drv.scale_in(4)
+            assert reply["can_terminate"] is False
+            assert reply["retiree_can_terminate"] == dict.fromkeys(retirees, True)
+            assert reply["rank"] == 0 and reply["size"] == 4
 
     def test_scale_in_delta_bounds(self):
         with Driver(startup_timeout=30) as drv:
