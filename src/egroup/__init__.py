@@ -1,101 +1,49 @@
 """Elastic process groups over TCP: grow a running worker set with immediate
 all-to-all communication, shrink it with communication fencing, and decide
 when a host may be shut down. Includes the benchmark harness exercising both
-paths at desk scale."""
+paths at desk scale.
 
-from .errors import (
-    ConnectError,
-    DeliveryError,
-    EGroupError,
-    FencingError,
-    NotSpawnedError,
-    ProtocolError,
-    RetiredGroupError,
-    SetupError,
-    ShutdownError,
-    SpawnError,
-)
-from .groups import (
-    Group,
-    InterGroup,
-    MemberDescriptor,
-    RetirementToken,
-    Side,
-    roster_digest,
-)
-from .wire import Envelope
-from .node import Node
-from .collectives import SplitKey, allgather, barrier, broadcast, merge, split
-from .spawner import (
-    BootstrapTicket,
-    Launcher,
-    LocalProcessLauncher,
-    SpawnSpec,
-    ThreadLauncher,
-    attach_parent,
-    spawn,
-)
-from .scaling import (
-    HostOccupancy,
-    ScaleInOutcome,
-    host_can_terminate,
-    init_new_process,
-    scale_in,
-    scale_out,
-)
-from .bench import (
-    BenchConfig,
-    BenchRecord,
-    emit_csv,
-    parse_csv,
-    run_scale_in_bench,
-    run_scale_out_bench,
-)
+Every public name resolves on first use (PEP 562), so importing one
+submodule, as a spawned worker does with ``egroup.worker``, loads only that
+submodule and what it imports, not the benchmark harness and driver.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BenchConfig",
-    "BenchRecord",
-    "BootstrapTicket",
-    "ConnectError",
-    "DeliveryError",
-    "EGroupError",
-    "Envelope",
-    "FencingError",
-    "Group",
-    "HostOccupancy",
-    "InterGroup",
-    "Launcher",
-    "LocalProcessLauncher",
-    "MemberDescriptor",
-    "Node",
-    "NotSpawnedError",
-    "ProtocolError",
-    "RetiredGroupError",
-    "RetirementToken",
-    "ScaleInOutcome",
-    "SetupError",
-    "ShutdownError",
-    "Side",
-    "SpawnError",
-    "SpawnSpec",
-    "SplitKey",
-    "ThreadLauncher",
-    "allgather",
-    "attach_parent",
-    "barrier",
-    "broadcast",
-    "emit_csv",
-    "host_can_terminate",
-    "init_new_process",
-    "merge",
-    "parse_csv",
-    "roster_digest",
-    "run_scale_in_bench",
-    "run_scale_out_bench",
-    "scale_in",
-    "scale_out",
-    "spawn",
-    "split",
-]
+# The public names each submodule defines.
+_SUBMODULE_EXPORTS = {
+    "errors": ("ConnectError", "DeliveryError", "EGroupError", "FencingError",
+               "NotSpawnedError", "ProtocolError", "RetiredGroupError",
+               "SetupError", "ShutdownError", "SpawnError"),
+    "groups": ("Group", "InterGroup", "MemberDescriptor", "RetirementToken",
+               "Side", "roster_digest"),
+    "wire": ("Envelope",),
+    "node": ("Node",),
+    "collectives": ("SplitKey", "allgather", "barrier", "broadcast", "merge",
+                    "split"),
+    "spawner": ("BootstrapTicket", "Launcher", "LocalProcessLauncher",
+                "SpawnSpec", "ThreadLauncher", "attach_parent", "spawn"),
+    "scaling": ("HostOccupancy", "ScaleInOutcome", "host_can_terminate",
+                "init_new_process", "scale_in", "scale_out"),
+    "bench": ("BenchConfig", "BenchRecord", "emit_csv", "parse_csv",
+              "run_scale_in_bench", "run_scale_out_bench"),
+}
+_EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items()
+            for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

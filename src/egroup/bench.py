@@ -68,7 +68,6 @@ class BenchConfig:
     trials: int = 5
     slots_per_host: int = 32
     child_program: Optional[str] = None
-    output_path: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "deltas", tuple(self.deltas))

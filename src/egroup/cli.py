@@ -77,8 +77,7 @@ def main(argv=None) -> int:
         config = BenchConfig(initial=initial, deltas=deltas,
                              trials=args.trials,
                              slots_per_host=args.slots_per_host,
-                             child_program=args.child,
-                             output_path=args.out)
+                             child_program=args.child)
         runner = (run_scale_out_bench if args.scenario == "scale-out"
                   else run_scale_in_bench)
         config.validate_for(args.scenario.replace("-", "_"))

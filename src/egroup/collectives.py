@@ -11,7 +11,6 @@ lockstep to keep concurrent operations from colliding.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import wire
@@ -25,17 +24,16 @@ _OK = b"\x00"
 _ERR = b"\x01"
 
 
-@dataclass(frozen=True)
-class SplitKey:
+class SplitKey(wire.Value):
     """Per-member split argument: members sharing a color form one output
     group, ordered within it by ascending (key, old rank)."""
 
-    color: int
-    key: int
+    __slots__ = ("color", "key")
 
-    def __post_init__(self):
-        if self.color < 0:
-            raise ValueError(f"color must be non-negative, got {self.color}")
+    def __init__(self, color: int, key: int):
+        if color < 0:
+            raise ValueError(f"color must be non-negative, got {color}")
+        self._init_fields(color, key)
 
 
 def _node_of(group: Group):

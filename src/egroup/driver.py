@@ -9,6 +9,7 @@ follows every scale event.
 
 from __future__ import annotations
 
+import logging
 import os
 import subprocess
 import sys
@@ -29,6 +30,8 @@ from .spawner import (
     ENV_WORLD_SIZE,
 )
 from .wire import Envelope
+
+log = logging.getLogger(__name__)
 
 DEFAULT_COMMAND_TIMEOUT = 120.0
 DEFAULT_STARTUP_TIMEOUT = 60.0
@@ -161,23 +164,42 @@ class Driver:
             src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
             payload=wire.json_payload(payload)))
 
+    def _answers(self, msg: dict, seq: int) -> bool:
+        """Whether ``msg`` is a reply to command ``seq``. A reply to an
+        earlier command came after the driver stopped waiting for it; it is
+        logged and dropped. A reply to a command never sent raises."""
+        got = msg.get("seq")
+        if got == seq:
+            return True
+        if isinstance(got, int) and 0 < got < seq:
+            log.warning("dropping late reply to command %d from %s",
+                        got, msg.get("id"))
+            return False
+        raise ProtocolError(
+            f"reply for command {got!r}, which was never sent "
+            f"(waiting on {seq})")
+
     def _collect_replies(self, seq: int, count: int,
-                         timeout: Optional[float] = None) -> dict:
-        """Gather ``count`` replies for ``seq``, keyed by incarnation id."""
+                         timeout: Optional[float] = None,
+                         hellos: int = 0) -> tuple:
+        """Gather ``count`` replies for ``seq``, keyed by incarnation id, and
+        ``hellos`` hello messages from new children, each with its channel."""
         timeout = timeout if timeout is not None else self.command_timeout
         deadline = time.monotonic() + timeout
+        tags = ((wire.TAG_DRIVER_REPLY, wire.TAG_DRIVER_HELLO) if hellos
+                else (wire.TAG_DRIVER_REPLY,))
         replies = {}
-        while len(replies) < count:
-            env = self.node.endpoint.recv(
-                wire_tag_is(wire.TAG_DRIVER_REPLY),
+        greetings = []
+        while len(replies) < count or len(greetings) < hellos:
+            env, channel = self.node.endpoint.recv_with_channel(
+                lambda e: e.tag in tags,
                 timeout=max(0.05, deadline - time.monotonic()))
             msg = wire.parse_json_payload(env.payload)
-            if msg.get("seq") != seq:
-                raise ProtocolError(
-                    f"reply for command {msg.get('seq')} while waiting "
-                    f"on {seq}")
-            replies[msg["id"]] = msg
-        return replies
+            if env.tag == wire.TAG_DRIVER_HELLO:
+                greetings.append((msg, channel))
+            elif self._answers(msg, seq):
+                replies[msg["id"]] = msg
+        return replies, greetings
 
     def _raise_failures(self, replies: dict) -> None:
         for handle in self.workers:
@@ -195,7 +217,7 @@ class Driver:
         for handle in self.workers:
             extra = (per_worker_params or {}).get(handle.incarnation_id, {})
             self._send_command(handle, seq, op, **params, **extra)
-        replies = self._collect_replies(seq, len(self.workers), timeout)
+        replies, _ = self._collect_replies(seq, len(self.workers), timeout)
         self._raise_failures(replies)
         return replies
 
@@ -238,20 +260,8 @@ class Driver:
                 child_program=child_program, child_args=list(child_args),
                 host_labels=labels, registration_timeout=registration_timeout)
 
-        deadline = time.monotonic() + (timeout or self.command_timeout)
-        replies = {}
-        hellos = []
-        while len(replies) < len(self.workers) or len(hellos) < delta:
-            env, channel = self.node.endpoint.recv_with_channel(
-                lambda e: e.tag in (wire.TAG_DRIVER_REPLY, wire.TAG_DRIVER_HELLO),
-                timeout=max(0.05, deadline - time.monotonic()))
-            msg = wire.parse_json_payload(env.payload)
-            if env.tag == wire.TAG_DRIVER_HELLO:
-                hellos.append((msg, channel))
-            else:
-                if msg.get("seq") != seq:
-                    raise ProtocolError(f"unexpected reply {msg.get('seq')}")
-                replies[msg["id"]] = msg
+        replies, hellos = self._collect_replies(
+            seq, len(self.workers), timeout, hellos=delta)
         self._raise_failures(replies)
 
         new_epoch = self.epoch + 1

@@ -10,11 +10,10 @@ from __future__ import annotations
 import enum
 import hashlib
 import os
-import uuid
-from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 from .errors import ProtocolError, RetiredGroupError
+from .wire import Value
 
 if TYPE_CHECKING:
     from .node import Node
@@ -31,28 +30,27 @@ SENTINEL_BLOCK = b"N" * HOST_LABEL_WIDTH
 def new_incarnation_id(host_label: str = "") -> str:
     """Mint a process-unique identity string; sorts arbitrarily but stably."""
     prefix = f"{host_label}.{os.getpid()}." if host_label else f"{os.getpid()}."
-    return prefix + uuid.uuid4().hex[:12]
+    return prefix + os.urandom(6).hex()
 
 
-@dataclass(frozen=True)
-class MemberDescriptor:
+class MemberDescriptor(Value):
     """Identity of one worker process."""
 
-    host_label: str
-    listen_address: str
-    incarnation_id: str
+    __slots__ = ("host_label", "listen_address", "incarnation_id")
 
-    def __post_init__(self):
-        if not self.host_label:
+    def __init__(self, host_label: str, listen_address: str,
+                 incarnation_id: str):
+        if not host_label:
             raise ValueError("host_label must be non-empty")
-        if len(self.host_label.encode()) > HOST_LABEL_WIDTH:
+        if len(host_label.encode()) > HOST_LABEL_WIDTH:
             raise ValueError(
-                f"host_label exceeds {HOST_LABEL_WIDTH} bytes: {self.host_label!r}"
+                f"host_label exceeds {HOST_LABEL_WIDTH} bytes: {host_label!r}"
             )
-        if self.host_label.encode() == SENTINEL_BLOCK:
+        if host_label.encode() == SENTINEL_BLOCK:
             raise ValueError("host_label collides with the removal sentinel")
-        if not self.incarnation_id:
+        if not incarnation_id:
             raise ValueError("incarnation_id must be non-empty")
+        self._init_fields(host_label, listen_address, incarnation_id)
 
     def to_json(self) -> dict:
         return {
@@ -79,28 +77,27 @@ def check_roster(roster: tuple) -> None:
         raise ValueError("roster contains duplicate incarnation ids")
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(Value):
     """An epoch-versioned, totally ordered roster with the caller's rank.
 
     ``node`` binds the value to the process-local runtime so communication
     operations can run; synthetic unbound groups (node=None) still support
-    rank/size and are handy in tests.
+    rank/size and are handy in tests. Equality and hashing ignore ``node``.
     """
 
-    epoch: int
-    roster: tuple
-    my_rank: int
-    node: Optional["Node"] = field(default=None, compare=False, repr=False)
+    __slots__ = ("epoch", "roster", "my_rank", "node")
+    _compare = ("epoch", "roster", "my_rank")
 
-    def __post_init__(self):
-        if self.epoch < 0:
-            raise ValueError(f"epoch must be non-negative, got {self.epoch}")
-        if not (0 <= self.my_rank < len(self.roster)):
+    def __init__(self, epoch: int, roster: tuple, my_rank: int,
+                 node: Optional["Node"] = None):
+        if epoch < 0:
+            raise ValueError(f"epoch must be non-negative, got {epoch}")
+        if not (0 <= my_rank < len(roster)):
             raise ValueError(
-                f"my_rank {self.my_rank} out of range for roster of {len(self.roster)}"
+                f"my_rank {my_rank} out of range for roster of {len(roster)}"
             )
-        check_roster(self.roster)
+        check_roster(roster)
+        self._init_fields(epoch, roster, my_rank, node)
 
     @property
     def retired(self) -> bool:
@@ -138,37 +135,50 @@ class Side(enum.Enum):
     CHILD = "child_side"
 
 
-@dataclass
-class InterGroup:
+class InterGroup(Value):
     """A parent/child linkage produced by spawn, before merging.
 
-    Single use: merging consumes it.
+    ``parent_root_rank`` is the rank, in the parent-side local group, of the
+    member that performed the spawn; it coordinates the merge and children
+    registered through it.
+
+    Single use: merging consumes it. ``consumed`` is the one field that may be
+    assigned after construction; equality ignores it, and the value is not
+    hashable.
     """
 
-    local_group: Group
-    remote_roster: tuple
-    side: Side
-    # Rank (in the parent-side local group) of the member that performed the
-    # spawn; it coordinates the merge and children registered through it.
-    parent_root_rank: int = 0
-    consumed: bool = field(default=False, compare=False)
+    __slots__ = ("local_group", "remote_roster", "side", "parent_root_rank",
+                 "consumed")
+    _compare = ("local_group", "remote_roster", "side", "parent_root_rank")
+    __hash__ = None
 
-    def __post_init__(self):
-        local_ids = {m.incarnation_id for m in self.local_group.roster}
-        remote_ids = {m.incarnation_id for m in self.remote_roster}
+    def __init__(self, local_group: Group, remote_roster: tuple, side: Side,
+                 parent_root_rank: int = 0, consumed: bool = False):
+        local_ids = {m.incarnation_id for m in local_group.roster}
+        remote_ids = {m.incarnation_id for m in remote_roster}
         if local_ids & remote_ids:
             raise ValueError("local and remote rosters overlap")
+        self._init_fields(local_group, remote_roster, side, parent_root_rank,
+                          consumed)
+
+    def __setattr__(self, name, value):
+        if name == "consumed":
+            object.__setattr__(self, name, value)
+        else:
+            super().__setattr__(name, value)
 
 
-@dataclass(frozen=True)
-class RetirementToken:
+class RetirementToken(Value):
     """Handed to a removing member in place of a successor group.
 
     ``epoch`` is the epoch at which the member's participation ended; the
     holder must stop group communication and exit.
     """
 
-    epoch: int
+    __slots__ = ("epoch",)
+
+    def __init__(self, epoch: int):
+        self._init_fields(epoch)
 
 
 def roster_digest(roster) -> str:

@@ -7,7 +7,6 @@ peers are opened on first use and reused across epochs.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import socket
 import threading
@@ -52,7 +51,7 @@ class Node:
         """Bind a group to this node and advance the epoch fence past it."""
         if group.roster[group.my_rank].incarnation_id != self.incarnation_id:
             raise ValueError("my_rank does not point at this node's descriptor")
-        bound = dataclasses.replace(group, node=self)
+        bound = Group(group.epoch, group.roster, group.my_rank, node=self)
         self.fencing.advance_to(group.epoch)
         self.endpoint.purge_stale()
         return bound

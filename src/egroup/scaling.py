@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .collectives import (
@@ -40,24 +39,24 @@ from .spawner import (
     attach_parent,
     spawn,
 )
+from .wire import Value
 
 
-@dataclass(frozen=True)
-class HostOccupancy:
+class HostOccupancy(Value):
     """Rank-ordered fixed-width host labels; removing members appear as
     all-sentinel blocks."""
 
-    width: int
-    blocks: bytes
+    __slots__ = ("width", "blocks")
 
-    def __post_init__(self):
-        if self.width != HOST_LABEL_WIDTH:
+    def __init__(self, width: int, blocks: bytes):
+        if width != HOST_LABEL_WIDTH:
             raise ValueError(f"block width must be {HOST_LABEL_WIDTH}, "
-                             f"got {self.width}")
-        if len(self.blocks) % self.width != 0:
+                             f"got {width}")
+        if len(blocks) % width != 0:
             raise ValueError(
-                f"occupancy of {len(self.blocks)} bytes is not a multiple "
-                f"of the {self.width}-byte block width")
+                f"occupancy of {len(blocks)} bytes is not a multiple "
+                f"of the {width}-byte block width")
+        self._init_fields(width, blocks)
 
     @property
     def count(self) -> int:
@@ -69,13 +68,15 @@ class HostOccupancy:
         return self.blocks[i * self.width:(i + 1) * self.width]
 
 
-@dataclass(frozen=True)
-class ScaleInOutcome:
+class ScaleInOutcome(Value):
     """What scale_in hands back: the successor group (or a retirement token
     for removing members) and the host-termination decision."""
 
-    new_group: Union[Group, RetirementToken]
-    can_terminate_host: bool
+    __slots__ = ("new_group", "can_terminate_host")
+
+    def __init__(self, new_group: Union[Group, RetirementToken],
+                 can_terminate_host: bool):
+        self._init_fields(new_group, can_terminate_host)
 
 
 def pad_label(label: str) -> bytes:

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-import subprocess
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import wire
@@ -38,25 +36,23 @@ ENV_PREFIX = "EG_"
 DEFAULT_REGISTRATION_TIMEOUT = 30.0
 
 
-@dataclass(frozen=True)
-class SpawnSpec:
+class SpawnSpec(wire.Value):
     """What to launch: program, arguments, how many copies, where."""
 
-    program: str
-    args: tuple = ()
-    count: int = 1
-    host_labels: Optional[tuple] = None
+    __slots__ = ("program", "args", "count", "host_labels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        if self.host_labels is not None:
-            object.__setattr__(self, "host_labels", tuple(self.host_labels))
-        if self.count < 1:
-            raise ValueError(f"count must be positive, got {self.count}")
-        if self.host_labels is not None and len(self.host_labels) != self.count:
+    def __init__(self, program: str, args: tuple = (), count: int = 1,
+                 host_labels: Optional[tuple] = None):
+        args = tuple(args)
+        if host_labels is not None:
+            host_labels = tuple(host_labels)
+        if count < 1:
+            raise ValueError(f"count must be positive, got {count}")
+        if host_labels is not None and len(host_labels) != count:
             raise ValueError(
-                f"host_labels has {len(self.host_labels)} entries for "
-                f"count {self.count}")
+                f"host_labels has {len(host_labels)} entries for "
+                f"count {count}")
+        self._init_fields(program, args, count, host_labels)
 
     def digest(self, root: int) -> bytes:
         body = wire.json_payload({
@@ -74,23 +70,22 @@ class SpawnSpec:
         return fallback
 
 
-@dataclass(frozen=True)
-class BootstrapTicket:
+class BootstrapTicket(wire.Value):
     """How a spawned child finds its parent, carried in the environment."""
 
-    parent_address: str
-    parent_epoch: int
-    child_index: int
-    host_label: str
-    child_count: int
+    __slots__ = ("parent_address", "parent_epoch", "child_index",
+                 "host_label", "child_count")
 
-    def __post_init__(self):
-        if not (0 <= self.child_index < self.child_count):
+    def __init__(self, parent_address: str, parent_epoch: int,
+                 child_index: int, host_label: str, child_count: int):
+        if not (0 <= child_index < child_count):
             raise ValueError(
-                f"child_index {self.child_index} out of range for "
-                f"count {self.child_count}")
-        if self.parent_epoch < 0:
+                f"child_index {child_index} out of range for "
+                f"count {child_count}")
+        if parent_epoch < 0:
             raise ValueError("parent_epoch must be non-negative")
+        self._init_fields(parent_address, parent_epoch, child_index,
+                          host_label, child_count)
 
     def to_env(self) -> dict:
         return {
@@ -135,7 +130,9 @@ class LocalProcessLauncher(Launcher):
 
     Exited children are reaped by polling at each launch and stop, the way
     subprocess reaps abandoned Popen objects, so no thread waits on them.
-    Keep one launcher for the life of the spawning process.
+    Keep one launcher for the life of the spawning process. ``subprocess`` is
+    imported on the first launch or stop: only a spawning root needs it, and
+    every spawned worker would otherwise pay for it at start-up.
     """
 
     def __init__(self, extra_env: Optional[dict] = None, stdout=None, stderr=None):
@@ -154,6 +151,7 @@ class LocalProcessLauncher(Launcher):
         env.update(self.extra_env)
         env.update(ticket_env)
         argv = [spec.program] + list(spec.args)
+        import subprocess
         try:
             proc = subprocess.Popen(argv, env=env,
                                     stdout=self.stdout, stderr=self.stderr)
@@ -163,6 +161,7 @@ class LocalProcessLauncher(Launcher):
         return proc
 
     def stop(self, handle) -> None:
+        import subprocess
         self._reap()
         if handle.poll() is not None:
             return

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
 
 from .errors import ProtocolError
 
@@ -44,21 +43,77 @@ TAG_MERGE_OUTCOME = 0xFFFF0004
 NO_RANK = -1
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Value:
+    """Base of the small immutable value types a worker handles.
+
+    A subclass names its fields in ``__slots__`` and takes them in that order
+    in ``__init__``, which checks them and stores them with ``_init_fields``;
+    any later assignment raises AttributeError. Two values are equal when they are of the same class and
+    agree on every field in ``_compare`` (all of ``__slots__`` unless the
+    subclass narrows it), and they hash the same way.
+    """
+
+    __slots__ = ()
+    _compare = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_compare" not in vars(cls):
+            cls._compare = cls.__slots__
+
+    def _init_fields(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compare])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"cannot assign to field {name!r} of immutable "
+            f"{type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"cannot delete field {name!r} of immutable {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        # Every subclass takes its fields positionally in __slots__ order, so
+        # copy and pickle rebuild a value through its checking __init__.
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._compare)
+        return f"{type(self).__name__}({fields})"
+
+
+class Envelope(Value):
     """One wire message: epoch, tag, source rank, destination rank, payload."""
 
-    epoch: int
-    tag: int
-    src_rank: int
-    dst_rank: int
-    payload: bytes = b""
+    __slots__ = ("epoch", "tag", "src_rank", "dst_rank", "payload")
 
-    def __post_init__(self):
-        if self.epoch < 0:
-            raise ValueError(f"epoch must be non-negative, got {self.epoch}")
-        if self.tag < 0:
-            raise ValueError(f"tag must be non-negative, got {self.tag}")
+    def __init__(self, epoch: int, tag: int, src_rank: int, dst_rank: int,
+                 payload: bytes = b""):
+        if epoch < 0:
+            raise ValueError(f"epoch must be non-negative, got {epoch}")
+        if tag < 0:
+            raise ValueError(f"tag must be non-negative, got {tag}")
+        # Built for every frame received, so the fields are stored inline.
+        _set = object.__setattr__
+        _set(self, "epoch", epoch)
+        _set(self, "tag", tag)
+        _set(self, "src_rank", src_rank)
+        _set(self, "dst_rank", dst_rank)
+        _set(self, "payload", payload)
 
 
 def pack(envelope: Envelope) -> bytes:
@@ -89,8 +144,7 @@ def unpack_body(body: bytes) -> Envelope:
     if len(body) < HEADER.size:
         raise ProtocolError("truncated frame: short header")
     epoch, tag, src, dst = HEADER.unpack_from(body)
-    return Envelope(epoch=epoch, tag=tag, src_rank=src, dst_rank=dst,
-                    payload=body[HEADER.size:])
+    return Envelope(epoch, tag, src, dst, body[HEADER.size:])
 
 
 def read_exact(sock, n: int) -> bytes:

@@ -1,0 +1,49 @@
+"""The package's import surface: lazy public names, and a worker that loads
+only the code it runs."""
+
+import subprocess
+import sys
+
+import pytest
+
+import egroup
+
+# Modules a spawned worker never uses; importing any of them would add to
+# every child's start-up time.
+NOT_ON_WORKER_PATH = ("egroup.bench", "egroup.driver", "egroup.cli", "csv",
+                      "uuid", "platform", "subprocess", "dataclasses",
+                      "inspect")
+
+
+def test_worker_import_closure():
+    code = ("import egroup.worker, sys; "
+            f"print(sorted(set({NOT_ON_WORKER_PATH!r}) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", egroup.__all__)
+def test_public_name_resolves(name):
+    value = getattr(egroup, name)
+    assert value is getattr(sys.modules[value.__module__], name)
+    assert name in dir(egroup)
+
+
+def test_star_import():
+    namespace = {}
+    exec("from egroup import *", namespace)
+    assert set(egroup.__all__) <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        egroup.no_such_name
+    assert not hasattr(egroup, "no_such_name")
+
+
+def test_submodules_import_from_package():
+    from egroup import collectives, transport
+    assert collectives.allgather is egroup.allgather
+    assert transport.__name__ == "egroup.transport"

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from egroup.driver import CommandFailure, Driver, host_label_for_slot
+from egroup.errors import ProtocolError
 from egroup.spawner import ENV_MEMBER_INDEX, ENV_RENDEZVOUS_ADDR, ENV_WORLD_SIZE
 
 
@@ -55,6 +56,30 @@ class TestFleet:
             assert "unknown command" in str(excinfo.value)
             # The fleet survives a failed command.
             drv.barrier()
+
+    def test_late_reply_is_dropped(self):
+        with Driver(startup_timeout=30) as drv:
+            drv.start_fleet(2)
+            # A command whose replies nobody collects: they arrive while the
+            # driver waits on the next command.
+            late = drv._next_seq()
+            for handle in drv.workers:
+                drv._send_command(handle, late, "ping")
+            drv.barrier()
+            pings = drv.ping()
+            assert sorted(m["rank"] for m in pings.values()) == [0, 1]
+            # scale_out matches its replies by the same rule.
+            late = drv._next_seq()
+            for handle in drv.workers:
+                drv._send_command(handle, late, "ping")
+            assert drv.scale_out(1)["size"] == 3
+
+    def test_reply_to_unsent_command_raises(self):
+        with Driver(startup_timeout=30) as drv:
+            drv.start_fleet(2)
+            drv._send_command(drv.workers[0], drv._seq + 5, "ping")
+            with pytest.raises(ProtocolError, match="never sent"):
+                drv.barrier()
 
     def test_stop_exits_cleanly(self):
         with Driver(startup_timeout=30) as drv:
