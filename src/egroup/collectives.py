@@ -14,14 +14,12 @@ import time
 from typing import Optional, Union
 
 from . import wire
-from .errors import ProtocolError, error_from_name
+from .errors import ProtocolError
 from .groups import Group, InterGroup, MemberDescriptor, RetirementToken, Side
-from .wire import Envelope
+from .transport import match_fields
+from .wire import Envelope, error_outcome, ok_outcome, unwrap_outcome
 
 DEFAULT_TIMEOUT = 120.0
-
-_OK = b"\x00"
-_ERR = b"\x01"
 
 
 class SplitKey(wire.Value):
@@ -42,22 +40,6 @@ def _node_of(group: Group):
                          "group returned by the runtime")
     group.node.check_group_live(group)
     return group.node
-
-
-def _ok(payload: bytes) -> bytes:
-    return _OK + payload
-
-
-def _err(exc: Exception) -> bytes:
-    return _ERR + wire.json_payload(
-        {"error": type(exc).__name__, "message": str(exc)})
-
-
-def _unwrap(payload: bytes) -> bytes:
-    if payload[:1] == _OK:
-        return payload[1:]
-    info = wire.parse_json_payload(payload[1:])
-    raise error_from_name(info.get("error", ""), info.get("message", ""))
 
 
 # -- intra-group collectives ---------------------------------------------------
@@ -113,7 +95,7 @@ def allgather(group: Group, block: bytes,
     if group.my_rank != 0:
         node.send(group, 0, tag_gather, block)
         reply = node.recv_on(group, tag_publish, src_rank=0, timeout=timeout)
-        return _unwrap(reply.payload)
+        return unwrap_outcome(reply.payload)
 
     blocks = [block] + [b""] * (n - 1)
     for src in range(1, n):
@@ -124,11 +106,11 @@ def allgather(group: Group, block: bytes,
         exc = ProtocolError(
             f"allgather width disagreement: saw block sizes {sorted(widths)}")
         for dst in range(1, n):
-            node.send(group, dst, tag_publish, _err(exc))
+            node.send(group, dst, tag_publish, error_outcome(exc))
         raise exc
     result = b"".join(blocks)
     for dst in range(1, n):
-        node.send(group, dst, tag_publish, _ok(result))
+        node.send(group, dst, tag_publish, ok_outcome(result))
     return result
 
 
@@ -162,7 +144,7 @@ def split(group: Group, key: SplitKey, retiring_color: Optional[int] = None,
         node.send(group, 0, tag_gather, wire.json_payload(contribution))
         reply = node.recv_on(group, tag_publish, src_rank=0, timeout=timeout)
         return _apply_split_result(node, wire.parse_json_payload(
-            _unwrap(reply.payload)))
+            unwrap_outcome(reply.payload)))
 
     entries = [None] * n
     entries[0] = contribution
@@ -174,7 +156,7 @@ def split(group: Group, key: SplitKey, retiring_color: Optional[int] = None,
         exc = ProtocolError(
             f"split members disagree on the retiring color: {sorted(map(str, retirings))}")
         for dst in range(1, n):
-            node.send(group, dst, tag_publish, _err(exc))
+            node.send(group, dst, tag_publish, error_outcome(exc))
         raise exc
 
     parts = partition_by_color([(e["color"], e["key"]) for e in entries])
@@ -190,7 +172,7 @@ def split(group: Group, key: SplitKey, retiring_color: Optional[int] = None,
                 results[old_rank] = {"epoch": new_epoch, "roster": roster,
                                      "my_rank": new_rank}
     for dst in range(1, n):
-        node.send(group, dst, tag_publish, _ok(wire.json_payload(results[dst])))
+        node.send(group, dst, tag_publish, ok_outcome(wire.json_payload(results[dst])))
     return _apply_split_result(node, results[0])
 
 
@@ -239,8 +221,8 @@ def merge(inter: InterGroup, high: bool,
             epoch=local.epoch, tag=wire.TAG_MERGE_HELLO,
             src_rank=local.my_rank, dst_rank=wire.NO_RANK, payload=hello))
         outcome = node.endpoint.recv(
-            wire_tag_is(wire.TAG_MERGE_OUTCOME), timeout=remaining())
-        result = wire.parse_json_payload(_unwrap(outcome.payload))
+            match_fields(tag=wire.TAG_MERGE_OUTCOME), timeout=remaining())
+        result = wire.parse_json_payload(unwrap_outcome(outcome.payload))
     else:
         result = _coordinate_merge(node, inter, hello, remaining)
 
@@ -248,12 +230,6 @@ def merge(inter: InterGroup, high: bool,
     new_group = node.make_group(result["epoch"], new_roster, result["your_rank"])
     _establish_mesh(node, new_group, remaining)
     return new_group
-
-
-def wire_tag_is(tag: int):
-    def pred(envelope: Envelope) -> bool:
-        return envelope.tag == tag
-    return pred
 
 
 def _coordinate_merge(node, inter: InterGroup, own_hello: bytes, remaining):
@@ -269,7 +245,7 @@ def _coordinate_merge(node, inter: InterGroup, own_hello: bytes, remaining):
     by_id = {m.incarnation_id: m for members in sides.values() for m in members}
     hellos = {node.incarnation_id: wire.parse_json_payload(own_hello)}
     while len(hellos) < len(by_id):
-        env = node.endpoint.recv(wire_tag_is(wire.TAG_MERGE_HELLO),
+        env = node.endpoint.recv(match_fields(tag=wire.TAG_MERGE_HELLO),
                                  timeout=remaining())
         msg = wire.parse_json_payload(env.payload)
         if msg.get("id") not in by_id:
@@ -291,7 +267,7 @@ def _coordinate_merge(node, inter: InterGroup, own_hello: bytes, remaining):
 
     new_epoch = 1 + max(int(h["epoch"]) for h in hellos.values())
     if error is not None:
-        payload = _err(error)
+        payload = error_outcome(error)
         for member in by_id.values():
             if member.incarnation_id != node.incarnation_id:
                 node.send_to(member, Envelope(
@@ -313,7 +289,7 @@ def _coordinate_merge(node, inter: InterGroup, own_hello: bytes, remaining):
         node.send_to(member, Envelope(
             epoch=new_epoch, tag=wire.TAG_MERGE_OUTCOME,
             src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-            payload=_ok(wire.json_payload(result))))
+            payload=ok_outcome(wire.json_payload(result))))
     return my_result
 
 

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import wire
-from .collectives import wire_tag_is
-from .errors import EGroupError, ProtocolError, SpawnError, error_from_name
+from .errors import EGroupError, ProtocolError, error_from_fields
 from .groups import MemberDescriptor
 from .node import Node
 from .spawner import (
@@ -29,6 +28,7 @@ from .spawner import (
     ENV_RENDEZVOUS_ADDR,
     ENV_WORLD_SIZE,
 )
+from .transport import match_fields
 from .wire import Envelope
 
 log = logging.getLogger(__name__)
@@ -126,7 +126,7 @@ class Driver:
         pending = {}
         while len(pending) < initial:
             env, channel = self.node.endpoint.recv_with_channel(
-                wire_tag_is(wire.TAG_DRIVER_REGISTER),
+                match_fields(tag=wire.TAG_DRIVER_REGISTER),
                 timeout=max(0.05, deadline - time.monotonic()))
             msg = wire.parse_json_payload(env.payload)
             index = msg["index"]
@@ -205,10 +205,7 @@ class Driver:
         for handle in self.workers:
             msg = replies.get(handle.incarnation_id)
             if msg is not None and not msg.get("ok", False):
-                raise CommandFailure(
-                    rank=handle.rank,
-                    error=error_from_name(msg.get("error", ""),
-                                          msg.get("message", "")))
+                raise CommandFailure(rank=handle.rank, error=error_from_fields(msg))
 
     def command_all(self, op: str, per_worker_params=None,
                     timeout: Optional[float] = None, **params) -> dict:

@@ -65,6 +65,12 @@ _BY_NAME = {
 }
 
 
-def error_from_name(name: str, message: str) -> EGroupError:
+def error_fields(exc: Exception) -> dict:
+    """The wire form of an error: its class name and its message."""
+    return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def error_from_fields(fields: dict) -> EGroupError:
     """Rebuild an error shipped over the wire; unknown names degrade to the base class."""
-    return _BY_NAME.get(name, EGroupError)(message)
+    cls = _BY_NAME.get(str(fields.get("error")), EGroupError)
+    return cls(str(fields.get("message", "")))

@@ -33,6 +33,8 @@ class Node:
         self.endpoint = Endpoint(bind, self.incarnation_id, self.fencing)
         self._tag_lock = threading.Lock()
         self._tag_counters = {}
+        # Set by init_new_process: a parent link can be merged only once.
+        self.merged_with_parent = False
 
     @property
     def listen_address(self) -> str:

@@ -11,7 +11,6 @@ while the rest continue at the next epoch.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Optional, Union
 
@@ -129,31 +128,19 @@ def scale_out(old_group: Group, num_add: int, child_program: str,
     return new_group
 
 
-_env_init_lock = threading.Lock()
-_env_init_done = False
-
-
 def init_new_process(node: Optional[Node] = None,
                      ticket: Optional[BootstrapTicket] = None,
                      timeout: Optional[float] = DEFAULT_TIMEOUT) -> Group:
     """Called by a spawned child: attach to the parent, merge as the high
     side, and return the combined group. Single use; the inter-group link is
     consumed by the merge."""
-    global _env_init_done
-    if node is None and ticket is None:
-        with _env_init_lock:
-            if _env_init_done:
-                raise ProtocolError(
-                    "init_new_process already ran in this process; the "
-                    "parent inter-group is consumed")
-            _env_init_done = True
-    if node is not None and getattr(node, "_merged_with_parent", False):
+    if node is not None and node.merged_with_parent:
         raise ProtocolError(
             "this node already merged with its parent; the inter-group "
             "is consumed")
     inter = attach_parent(node=node, ticket=ticket)
     group = merge(inter, high=True, timeout=timeout)
-    group.node._merged_with_parent = True
+    group.node.merged_with_parent = True
     return group
 
 

@@ -16,11 +16,12 @@ import time
 from typing import Optional
 
 from . import wire
-from .collectives import _err, _ok, _unwrap, allgather, broadcast, wire_tag_is
+from .collectives import allgather, broadcast
 from .errors import NotSpawnedError, ProtocolError, SpawnError
 from .groups import Group, InterGroup, MemberDescriptor, Side
 from .node import Node
-from .wire import Envelope
+from .transport import match_fields
+from .wire import Envelope, error_outcome, ok_outcome, unwrap_outcome
 
 ENV_PARENT_ADDR = "EG_PARENT_ADDR"
 ENV_PARENT_EPOCH = "EG_PARENT_EPOCH"
@@ -215,7 +216,7 @@ def spawn(group: Group, root: int, spec: SpawnSpec,
         raise ProtocolError("spawn arguments differ across members")
 
     if group.my_rank != root:
-        outcome = wire.parse_json_payload(_unwrap(broadcast(group, root, b"")))
+        outcome = wire.parse_json_payload(unwrap_outcome(broadcast(group, root, b"")))
         remote = tuple(MemberDescriptor.from_json(m) for m in outcome["children"])
         return InterGroup(local_group=group, remote_roster=remote,
                           side=Side.PARENT, parent_root_rank=root)
@@ -225,9 +226,9 @@ def spawn(group: Group, root: int, spec: SpawnSpec,
         remote = _launch_and_register(node, group, spec, launcher,
                                       registration_timeout)
     except Exception as exc:
-        broadcast(group, root, _err(exc))
+        broadcast(group, root, error_outcome(exc))
         raise
-    broadcast(group, root, _ok(wire.json_payload(
+    broadcast(group, root, ok_outcome(wire.json_payload(
         {"children": [m.to_json() for m in remote]})))
     return InterGroup(local_group=group, remote_roster=remote,
                       side=Side.PARENT, parent_root_rank=root)
@@ -251,7 +252,7 @@ def _launch_and_register(node, group, spec, launcher, registration_timeout):
         while len(registered) < spec.count:
             try:
                 env = node.endpoint.recv(
-                    wire_tag_is(wire.TAG_SPAWN_REGISTER),
+                    match_fields(tag=wire.TAG_SPAWN_REGISTER),
                     timeout=max(0.05, deadline - time.monotonic()))
             except TimeoutError:
                 missing = sorted(set(range(spec.count)) - set(registered))
@@ -269,7 +270,7 @@ def _launch_and_register(node, group, spec, launcher, registration_timeout):
         raise
 
     remote = tuple(registered[i] for i in range(spec.count))
-    reply = _ok(wire.json_payload({
+    reply = ok_outcome(wire.json_payload({
         "parents": [m.to_json() for m in group.roster],
         "children": [m.to_json() for m in remote],
         "parent_root_rank": group.my_rank,
@@ -282,7 +283,7 @@ def _launch_and_register(node, group, spec, launcher, registration_timeout):
 
 
 def _abort_children(node, group, launcher, handles, registered, exc):
-    payload = _err(SpawnError(f"spawn aborted: {exc}"))
+    payload = error_outcome(SpawnError(f"spawn aborted: {exc}"))
     for member in registered.values():
         try:
             node.send_to(member, Envelope(
@@ -305,25 +306,30 @@ def attach_parent(node: Optional[Node] = None,
     rosters, and return the child-side InterGroup."""
     if ticket is None:
         ticket = BootstrapTicket.from_env()
-    if node is None:
+    created = node is None
+    if created:
         node = Node(host_label=ticket.host_label)
-
-    # Adopt the parent's epoch before dialing so fencing on both ends agrees.
-    node.fencing.advance_to(ticket.parent_epoch)
-    channel = node.endpoint.connect(ticket.parent_address)
-    channel.send(Envelope(
-        epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REGISTER,
-        src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-        payload=wire.json_payload({
-            "child_index": ticket.child_index,
-            "descriptor": node.descriptor().to_json(),
-        })))
-    reply = node.endpoint.recv(wire_tag_is(wire.TAG_SPAWN_REPLY), timeout=timeout)
-    outcome = wire.parse_json_payload(_unwrap(reply.payload))
-
-    siblings = tuple(MemberDescriptor.from_json(m) for m in outcome["children"])
-    parents = tuple(MemberDescriptor.from_json(m) for m in outcome["parents"])
-    local = node.make_group(ticket.parent_epoch, siblings, ticket.child_index)
-    return InterGroup(local_group=local, remote_roster=parents,
-                      side=Side.CHILD,
-                      parent_root_rank=outcome["parent_root_rank"])
+    try:
+        # Adopt the parent's epoch before dialing so fencing on both ends agrees.
+        node.fencing.advance_to(ticket.parent_epoch)
+        channel = node.endpoint.connect(ticket.parent_address)
+        channel.send(Envelope(
+            epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REGISTER,
+            src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
+            payload=wire.json_payload({
+                "child_index": ticket.child_index,
+                "descriptor": node.descriptor().to_json(),
+            })))
+        reply = node.endpoint.recv(match_fields(tag=wire.TAG_SPAWN_REPLY),
+                                   timeout=timeout)
+        outcome = wire.parse_json_payload(unwrap_outcome(reply.payload))
+        siblings = tuple(MemberDescriptor.from_json(m) for m in outcome["children"])
+        parents = tuple(MemberDescriptor.from_json(m) for m in outcome["parents"])
+        local = node.make_group(ticket.parent_epoch, siblings, ticket.child_index)
+        return InterGroup(local_group=local, remote_roster=parents,
+                          side=Side.CHILD,
+                          parent_root_rank=outcome["parent_root_rank"])
+    except BaseException:
+        if created:
+            node.close()
+        raise

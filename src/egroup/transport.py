@@ -52,7 +52,7 @@ def _control(kind: str, frame_epoch: int = 0, /, **fields) -> Envelope:
     """A tag-0 control envelope; ``fields`` may carry their own epoch."""
     return Envelope(epoch=frame_epoch, tag=wire.TAG_CONTROL,
                     src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-                    payload=wire.control_payload(kind, **fields))
+                    payload=wire.json_payload({**fields, "kind": kind}))
 
 
 class FencingState:
@@ -178,7 +178,6 @@ class Endpoint:
         self._buffer = deque()
         self._closed = False
         self.stale_rejected_count = 0
-        self.delivered_count = 0
 
         # Only the loop touches the selector. Other threads queue channels
         # for it to watch and write a byte to the wake-up socketpair.
@@ -216,7 +215,7 @@ class Endpoint:
         try:
             sock.sendall(wire.pack(_control(
                 "hello", max(epoch, 0), incarnation_id=self_id, epoch=epoch)))
-            msg = wire.parse_control(wire.read_envelope(sock).payload)
+            msg = wire.parse_json_payload(wire.read_envelope(sock).payload)
         except (OSError, ProtocolError) as exc:
             sock.close()
             raise ConnectError(f"handshake with {address} failed: {exc}") from exc
@@ -366,8 +365,8 @@ class Endpoint:
                 if channel in self._handshakes:
                     self._answer_hello(channel, envelope)
                 elif envelope.tag == wire.TAG_CONTROL:
-                    msg = wire.parse_control(envelope.payload)
-                    if msg["kind"] == "reject_notice":
+                    msg = wire.parse_json_payload(envelope.payload)
+                    if msg.get("kind") == "reject_notice":
                         channel._push_notice(msg)
                 elif self.fencing.is_stale(envelope.epoch):
                     self._reject_envelope(channel, envelope)
@@ -385,9 +384,9 @@ class Endpoint:
         """Handle the first frame of an accepted connection: admit the dialer,
         or refuse it as stale or as the losing duplicate."""
         del self._handshakes[channel]
-        msg = wire.parse_control(hello.payload)
+        msg = wire.parse_json_payload(hello.payload)
         peer_id, peer_epoch = msg.get("incarnation_id"), msg.get("epoch")
-        if not (msg["kind"] == "hello" and isinstance(peer_id, str)
+        if not (msg.get("kind") == "hello" and isinstance(peer_id, str)
                 and isinstance(peer_epoch, int)):
             raise ProtocolError(f"expected a hello, got {msg}")
         kind, fields = "hello_ok", {"epoch": self.fencing.current}
@@ -445,7 +444,6 @@ class Endpoint:
                 for i, (envelope, channel) in enumerate(self._buffer):
                     if pred(envelope):
                         del self._buffer[i]
-                        self.delivered_count += 1
                         return envelope, channel
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if not self._buf_cond.wait(remaining):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import struct
 
-from .errors import ProtocolError
+from .errors import ProtocolError, error_fields, error_from_fields
 
 HEADER = struct.Struct(">QIii")
 LENGTH_PREFIX = struct.Struct(">I")
@@ -192,28 +192,36 @@ def cut_frames(buf: bytearray):
         del buf[:start]
 
 
-def control_payload(kind: str, **fields) -> bytes:
-    """Build the JSON payload of a tag-0 control message."""
-    fields["kind"] = kind
-    return json.dumps(fields, sort_keys=True).encode()
-
-
-def parse_control(payload: bytes) -> dict:
-    try:
-        obj = json.loads(payload.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"malformed control payload: {exc}") from exc
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ProtocolError("control payload is not an object with a kind")
-    return obj
-
-
 def json_payload(obj) -> bytes:
     return json.dumps(obj, sort_keys=True).encode()
 
 
-def parse_json_payload(payload: bytes):
+def parse_json_payload(payload: bytes) -> dict:
+    """Parse a payload that must hold one JSON object."""
     try:
-        return json.loads(payload.decode())
+        obj = json.loads(payload.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"malformed JSON payload: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ProtocolError(f"JSON payload is a {type(obj).__name__}, not an object")
+    return obj
+
+
+# An outcome is a status byte and then either the result or the error fields.
+_OK = b"\x00"
+_ERR = b"\x01"
+
+
+def ok_outcome(payload: bytes) -> bytes:
+    return _OK + payload
+
+
+def error_outcome(exc: Exception) -> bytes:
+    return _ERR + json_payload(error_fields(exc))
+
+
+def unwrap_outcome(payload: bytes) -> bytes:
+    """Return the result of an ok outcome, or raise the error it carries."""
+    if payload[:1] == _OK:
+        return payload[1:]
+    raise error_from_fields(parse_json_payload(payload[1:]))

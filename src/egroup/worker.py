@@ -14,14 +14,15 @@ environment, 1 on unexpected failure.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 import time
 import traceback
 
 from . import wire
-from .collectives import allgather, barrier, wire_tag_is
-from .errors import EGroupError
+from .collectives import allgather, barrier
+from .errors import EGroupError, ProtocolError, error_fields
 from .groups import MemberDescriptor, RetirementToken, roster_digest
 from .node import Node
 from .scaling import init_new_process, scale_in, scale_out
@@ -32,7 +33,10 @@ from .spawner import (
     ENV_WORLD_SIZE,
     LocalProcessLauncher,
 )
+from .transport import match_fields
 from .wire import Envelope
+
+log = logging.getLogger(__name__)
 
 # Wide enough for any incarnation id; allgather blocks must share one width.
 ID_BLOCK_WIDTH = 128
@@ -78,7 +82,7 @@ def _bootstrap_initial(environ, driver_addr):
             "index": index,
             "descriptor": node.descriptor().to_json(),
         })))
-    roster_env = node.endpoint.recv(wire_tag_is(wire.TAG_DRIVER_ROSTER),
+    roster_env = node.endpoint.recv(match_fields(tag=wire.TAG_DRIVER_ROSTER),
                                     timeout=60.0)
     msg = wire.parse_json_payload(roster_env.payload)
     roster = tuple(MemberDescriptor.from_json(m) for m in msg["roster"])
@@ -134,8 +138,12 @@ def _serve(node, group, channel, drain_timeout):
     # started in earlier ones.
     launcher = LocalProcessLauncher()
     while True:
-        cmd_env = node.endpoint.recv(wire_tag_is(wire.TAG_DRIVER_CMD))
-        cmd = wire.parse_json_payload(cmd_env.payload)
+        cmd_env = node.endpoint.recv(match_fields(tag=wire.TAG_DRIVER_CMD))
+        try:
+            cmd = wire.parse_json_payload(cmd_env.payload)
+        except ProtocolError as exc:
+            log.warning("dropping malformed driver command: %s", exc)
+            continue
         op = cmd.get("op")
         seq = cmd.get("seq")
         try:
@@ -213,14 +221,9 @@ def _serve(node, group, channel, drain_timeout):
                 })
 
             else:
-                _reply(node, channel, seq, {
-                    "ok": False, "error": "ProtocolError",
-                    "message": f"unknown command {op!r}",
-                })
+                raise ProtocolError(f"unknown command {op!r}")
         except EGroupError as exc:
-            _reply(node, channel, seq, {
-                "ok": False, "error": type(exc).__name__, "message": str(exc),
-            })
+            _reply(node, channel, seq, {"ok": False, **error_fields(exc)})
 
 
 def worker_main(argv=None, environ=None) -> int:

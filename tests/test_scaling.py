@@ -1,5 +1,6 @@
 """Growing and shrinking live groups."""
 
+import sys
 import threading
 import time
 
@@ -16,7 +17,7 @@ from egroup import (
 from egroup.collectives import allgather, barrier
 from egroup.errors import ProtocolError, SpawnError
 from egroup.scaling import init_new_process, scale_in, scale_out
-from egroup.spawner import BootstrapTicket
+from egroup.spawner import BootstrapTicket, LocalProcessLauncher
 
 from conftest import cluster, run_members
 
@@ -163,6 +164,26 @@ class TestScaleOut:
                 assert isinstance(world.double_init_error[0], ProtocolError)
         finally:
             world.close()
+
+    def test_second_init_in_spawned_process_is_fenced(self, tmp_path):
+        # The ticket in a spawned process's environment names the parent's
+        # old epoch, so a second attach is refused by the parent's fence.
+        code = ("from egroup.collectives import barrier\n"
+                "from egroup.scaling import init_new_process\n"
+                "group = init_new_process()\n"
+                "try:\n"
+                "    init_new_process()\n"
+                "except Exception as exc:\n"
+                "    print(type(exc).__name__, flush=True)\n"
+                "barrier(group, timeout=30)\n"
+                "group.node.close()\n")
+        out = tmp_path / "child.out"
+        with open(out, "w") as f, cluster(1) as groups:
+            group = scale_out(groups[0], 1, sys.executable,
+                              child_args=("-c", code),
+                              launcher=LocalProcessLauncher(stdout=f))
+            barrier(group, timeout=30)
+        assert out.read_text().split() == ["FencingError"]
 
 
 class TestScaleIn:

@@ -1,6 +1,7 @@
 """Spawn, registration, and child bootstrap."""
 
 import os
+import socket
 import sys
 import threading
 import time
@@ -9,7 +10,7 @@ import pytest
 
 from egroup import Node, Side, ThreadLauncher
 from egroup.collectives import allgather
-from egroup.errors import NotSpawnedError, ProtocolError, SpawnError
+from egroup.errors import ConnectError, NotSpawnedError, ProtocolError, SpawnError
 from egroup.spawner import (
     ENV_CHILD_COUNT,
     ENV_CHILD_INDEX,
@@ -248,6 +249,26 @@ class TestSpawnWithThreads:
         with cluster(1) as groups:
             with pytest.raises(ValueError):
                 spawn(groups[0], 3, SpawnSpec(program="-", count=1))
+
+
+class TestAttachParent:
+    def test_failed_attach_closes_only_a_node_it_made(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        ticket = BootstrapTicket(parent_address=f"127.0.0.1:{port}",
+                                 parent_epoch=0, child_index=0,
+                                 host_label="h", child_count=1)
+        before = set(threading.enumerate())
+        with pytest.raises(ConnectError):
+            attach_parent(ticket=ticket)
+        assert not [t for t in set(threading.enumerate()) - before
+                    if t.name.startswith("io-")]
+        # A node the caller passed in stays the caller's to close.
+        with Node(host_label="h") as node:
+            with pytest.raises(ConnectError):
+                attach_parent(node=node, ticket=ticket)
+            assert not node.endpoint.closed
 
 
 class TestSpawnWithProcesses:

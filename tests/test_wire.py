@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egroup import wire
+from egroup import errors, wire
 from egroup.errors import ProtocolError
 from egroup.wire import Envelope
 
@@ -77,16 +77,36 @@ def test_envelope_validates_fields():
 
 
 def test_control_payload_round_trip():
-    payload = wire.control_payload("hello", incarnation_id="a.1", epoch=4)
-    msg = wire.parse_control(payload)
+    fields = {"incarnation_id": "a.1", "epoch": 4}
+    msg = wire.parse_json_payload(wire.json_payload({**fields, "kind": "hello"}))
     assert msg == {"kind": "hello", "incarnation_id": "a.1", "epoch": 4}
 
 
-def test_parse_control_rejects_garbage():
-    with pytest.raises(ProtocolError):
-        wire.parse_control(b"\xff\xfe")
-    with pytest.raises(ProtocolError):
-        wire.parse_control(b"[1, 2]")
+def test_parse_json_payload_rejects_garbage():
+    # Only a JSON object is a payload; other JSON values are malformed too.
+    for payload in (b"\xff\xfe", b"{", b"[1, 2]", b"3"):
+        with pytest.raises(ProtocolError):
+            wire.parse_json_payload(payload)
+
+
+def test_error_fields_round_trip_every_class():
+    for cls in errors._BY_NAME.values():
+        back = errors.error_from_fields(errors.error_fields(cls("went wrong")))
+        assert type(back) is cls
+        assert str(back) == "went wrong"
+
+
+def test_error_from_unknown_name_is_base_class():
+    back = errors.error_from_fields({"error": "NoSuchError", "message": "m"})
+    assert type(back) is errors.EGroupError
+    assert str(back) == "m"
+
+
+def test_outcome_round_trip():
+    assert wire.unwrap_outcome(wire.ok_outcome(b"result")) == b"result"
+    assert wire.unwrap_outcome(wire.ok_outcome(b"")) == b""
+    with pytest.raises(errors.FencingError, match="too late"):
+        wire.unwrap_outcome(wire.error_outcome(errors.FencingError("too late")))
 
 
 def test_tag_ranges_do_not_overlap():

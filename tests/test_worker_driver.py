@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
+from egroup import wire
 from egroup.driver import CommandFailure, Driver, host_label_for_slot
 from egroup.errors import ProtocolError
 from egroup.spawner import ENV_MEMBER_INDEX, ENV_RENDEZVOUS_ADDR, ENV_WORLD_SIZE
+from egroup.wire import Envelope
 
 
 def clean_env():
@@ -80,6 +82,25 @@ class TestFleet:
             drv._send_command(drv.workers[0], drv._seq + 5, "ping")
             with pytest.raises(ProtocolError, match="never sent"):
                 drv.barrier()
+
+    def test_malformed_command_is_dropped(self):
+        drv = Driver(startup_timeout=30, command_timeout=30)
+        procs = []
+        try:
+            drv.start_fleet(2)
+            procs = [h.proc for h in drv.workers]
+            target = drv.workers[1]
+            # Valid JSON that is not an object, then invalid UTF-8.
+            for payload in (b"[1, 2]", b"\xff"):
+                target.channel.send(Envelope(
+                    epoch=target.epoch, tag=wire.TAG_DRIVER_CMD,
+                    src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
+                    payload=payload))
+            drv.barrier()
+            assert sorted(m["rank"] for m in drv.ping().values()) == [0, 1]
+        finally:
+            drv.close()
+        assert [p.returncode for p in procs] == [0, 0]
 
     def test_stop_exits_cleanly(self):
         with Driver(startup_timeout=30) as drv:
