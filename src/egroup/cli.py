@@ -2,7 +2,7 @@
 
 Desk-scale defaults keep runs within one machine's process budget; --full
 switches to full-scale fleet shapes (up to 128 processes), which take much
-longer and need a generous pid limit.
+longer.
 """
 
 from __future__ import annotations

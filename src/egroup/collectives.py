@@ -1,36 +1,45 @@
 """Collective operations over a group: barrier, broadcast, allgather, split,
 and the inter-to-intra merge.
 
-All collectives use a root-based star: rank 0 of the relevant group (or the
-spawning root during a merge) gathers contributions and redistributes
-results. Every live member must invoke the same collective, with compatible
-arguments, in the same order; the per-epoch tag counters rely on that
-lockstep to keep concurrent operations from colliding.
+``allgather`` is the one gather-and-publish star: rank 0 gathers a
+fixed-width block from every member and publishes the concatenation.
+``barrier`` and ``split`` are thin callers of it. The merge is coordinated by
+the spawning root, which gathers one hello per member and publishes one
+outcome, the merged epoch or an error, identical for every member. Every
+live member must invoke the same collective, with compatible arguments, in
+the same order; the per-epoch tag counters rely on that lockstep to keep
+concurrent operations from colliding.
 """
 
 from __future__ import annotations
 
+import struct
 import time
 from typing import Optional, Union
 
 from . import wire
 from .errors import ProtocolError
-from .groups import Group, InterGroup, MemberDescriptor, RetirementToken, Side
+from .groups import Group, InterGroup, RetirementToken, Side
 from .transport import match_fields
 from .wire import Envelope, error_outcome, ok_outcome, unwrap_outcome
 
 DEFAULT_TIMEOUT = 120.0
 
+# One split contribution: color, key and retiring color (-1 for None).
+SPLIT_BLOCK = struct.Struct(">qqq")
+INT64_MAX = 2 ** 63 - 1
+
 
 class SplitKey(wire.Value):
     """Per-member split argument: members sharing a color form one output
-    group, ordered within it by ascending (key, old rank)."""
+    group, ordered within it by ascending (key, old rank). Both are int64."""
 
     __slots__ = ("color", "key")
 
     def __init__(self, color: int, key: int):
-        if color < 0:
-            raise ValueError(f"color must be non-negative, got {color}")
+        if not (0 <= color <= INT64_MAX and -INT64_MAX - 1 <= key <= INT64_MAX):
+            raise ValueError("color must be a non-negative int64 and key an "
+                             f"int64, got color={color}, key={key}")
         self._init_fields(color, key)
 
 
@@ -46,19 +55,7 @@ def _node_of(group: Group):
 
 def barrier(group: Group, timeout: Optional[float] = DEFAULT_TIMEOUT) -> None:
     """Block until every member of the group has entered the barrier."""
-    node = _node_of(group)
-    tag = node.next_collective_tag(group.epoch)
-    n = len(group.roster)
-    if n == 1:
-        return
-    if group.my_rank != 0:
-        node.send(group, 0, tag, b"")
-        node.recv_on(group, tag, src_rank=0, timeout=timeout)
-        return
-    for src in range(1, n):
-        node.recv_on(group, tag, src_rank=src, timeout=timeout)
-    for dst in range(1, n):
-        node.send(group, dst, tag, b"")
+    allgather(group, b"", timeout=timeout)
 
 
 def broadcast(group: Group, root: int, payload: bytes,
@@ -133,54 +130,24 @@ def split(group: Group, key: SplitKey, retiring_color: Optional[int] = None,
     instead of a group; everyone else gets its color's new Group with ranks
     assigned by ascending (key, old rank).
     """
-    node = _node_of(group)
-    tag_gather = node.next_collective_tag(group.epoch)
-    tag_publish = node.next_collective_tag(group.epoch)
-    n = len(group.roster)
-    contribution = {"color": key.color, "key": key.key,
-                    "retiring": retiring_color}
-
-    if group.my_rank != 0:
-        node.send(group, 0, tag_gather, wire.json_payload(contribution))
-        reply = node.recv_on(group, tag_publish, src_rank=0, timeout=timeout)
-        return _apply_split_result(node, wire.parse_json_payload(
-            unwrap_outcome(reply.payload)))
-
-    entries = [None] * n
-    entries[0] = contribution
-    for src in range(1, n):
-        env = node.recv_on(group, tag_gather, src_rank=src, timeout=timeout)
-        entries[src] = wire.parse_json_payload(env.payload)
-    retirings = {e["retiring"] for e in entries}
+    if retiring_color is not None and not 0 <= retiring_color <= INT64_MAX:
+        raise ValueError(
+            f"retiring_color must be a non-negative int64, got {retiring_color}")
+    block = SPLIT_BLOCK.pack(key.color, key.key,
+                             -1 if retiring_color is None else retiring_color)
+    gathered = allgather(group, block, timeout=timeout)
+    entries = list(SPLIT_BLOCK.iter_unpack(gathered))
+    retirings = {r for _, _, r in entries}
     if len(retirings) != 1:
-        exc = ProtocolError(
-            f"split members disagree on the retiring color: {sorted(map(str, retirings))}")
-        for dst in range(1, n):
-            node.send(group, dst, tag_publish, error_outcome(exc))
-        raise exc
-
-    parts = partition_by_color([(e["color"], e["key"]) for e in entries])
+        named = sorted(str(None if r < 0 else r) for r in retirings)
+        raise ProtocolError(
+            f"split members disagree on the retiring color: {named}")
     new_epoch = group.epoch + 1
-    results = [None] * n
-    for color, old_ranks in parts.items():
-        if color == retiring_color:
-            for old_rank in old_ranks:
-                results[old_rank] = {"retired": True, "epoch": new_epoch}
-        else:
-            roster = [group.roster[r].to_json() for r in old_ranks]
-            for new_rank, old_rank in enumerate(old_ranks):
-                results[old_rank] = {"epoch": new_epoch, "roster": roster,
-                                     "my_rank": new_rank}
-    for dst in range(1, n):
-        node.send(group, dst, tag_publish, ok_outcome(wire.json_payload(results[dst])))
-    return _apply_split_result(node, results[0])
-
-
-def _apply_split_result(node, result: dict) -> Union[Group, RetirementToken]:
-    if result.get("retired"):
-        return RetirementToken(epoch=result["epoch"])
-    roster = tuple(MemberDescriptor.from_json(m) for m in result["roster"])
-    return node.make_group(result["epoch"], roster, result["my_rank"])
+    if key.color == retiring_color:
+        return RetirementToken(epoch=new_epoch)
+    old_ranks = partition_by_color([(c, k) for c, k, _ in entries])[key.color]
+    return group.node.make_group(new_epoch, [group.roster[r] for r in old_ranks],
+                                 old_ranks.index(group.my_rank))
 
 
 # -- inter-group merge ---------------------------------------------------------
@@ -210,38 +177,37 @@ def merge(inter: InterGroup, high: bool,
         coordinator = inter.remote_roster[inter.parent_root_rank]
     i_coordinate = coordinator.incarnation_id == node.incarnation_id
 
-    hello = wire.json_payload({
-        "id": node.incarnation_id,
-        "side": inter.side.value,
-        "high": bool(high),
-        "epoch": local.epoch,
-    })
-    if not i_coordinate:
+    high = bool(high)
+    hello = wire.json_payload({"id": node.incarnation_id, "side": inter.side.value,
+                               "high": high, "epoch": local.epoch})
+    if i_coordinate:
+        epoch = _coordinate_merge(node, inter, hello, remaining)
+    else:
         node.send_to(coordinator, Envelope(
             epoch=local.epoch, tag=wire.TAG_MERGE_HELLO,
             src_rank=local.my_rank, dst_rank=wire.NO_RANK, payload=hello))
         outcome = node.endpoint.recv(
             match_fields(tag=wire.TAG_MERGE_OUTCOME), timeout=remaining())
-        result = wire.parse_json_payload(unwrap_outcome(outcome.payload))
-    else:
-        result = _coordinate_merge(node, inter, hello, remaining)
+        epoch = wire.parse_json_payload(unwrap_outcome(outcome.payload))["epoch"]
 
-    new_roster = tuple(MemberDescriptor.from_json(m) for m in result["roster"])
-    new_group = node.make_group(result["epoch"], new_roster, result["your_rank"])
+    # The low side comes first; both rosters are already known here.
+    rosters = (local.roster, inter.remote_roster)
+    new_group = node.make_group(
+        epoch, rosters[high] + rosters[not high],
+        local.my_rank + (len(inter.remote_roster) if high else 0))
     _establish_mesh(node, new_group, remaining)
     return new_group
 
 
-def _coordinate_merge(node, inter: InterGroup, own_hello: bytes, remaining):
+def _coordinate_merge(node, inter: InterGroup, own_hello: bytes,
+                      remaining) -> int:
     """Run by the parent-side root: gather one hello per member on both
-    sides, validate the high flags, assign merged ranks, publish outcomes."""
-    local = inter.local_group
+    sides, validate them, and publish one outcome to every other member: the
+    merged epoch, or the error. Returns the merged epoch."""
     if inter.side is not Side.PARENT:
         raise ProtocolError("merge coordinator must sit on the parent side")
-    sides = {
-        Side.PARENT.value: list(local.roster),
-        Side.CHILD.value: list(inter.remote_roster),
-    }
+    sides = {Side.PARENT.value: inter.local_group.roster,
+             Side.CHILD.value: inter.remote_roster}
     by_id = {m.incarnation_id: m for members in sides.values() for m in members}
     hellos = {node.incarnation_id: wire.parse_json_payload(own_hello)}
     while len(hellos) < len(by_id):
@@ -252,45 +218,39 @@ def _coordinate_merge(node, inter: InterGroup, own_hello: bytes, remaining):
             raise ProtocolError(f"merge hello from unknown member {msg.get('id')!r}")
         hellos[msg["id"]] = msg
 
-    error = None
+    error = _check_hellos(sides, hellos)
+    new_epoch = 1 + max(h["epoch"] for h in hellos.values()
+                        if type(h.get("epoch")) is int)
+    payload = (ok_outcome(wire.json_payload({"epoch": new_epoch}))
+               if error is None else error_outcome(error))
+    envelope = Envelope(epoch=new_epoch, tag=wire.TAG_MERGE_OUTCOME,
+                        src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
+                        payload=payload)
+    for member_id, member in by_id.items():
+        if member_id != node.incarnation_id:
+            node.send_to(member, envelope)
+    if error is not None:
+        raise error
+    return new_epoch
+
+
+def _check_hellos(sides: dict, hellos: dict) -> Optional[ProtocolError]:
+    """The error the merge must publish, or None when exactly one side is
+    high and every hello is well formed."""
+    for member_id, msg in hellos.items():
+        if type(msg.get("high")) is not bool or type(msg.get("epoch")) is not int:
+            return ProtocolError(f"malformed merge hello from {member_id!r}: {msg!r}")
     flags = {}
     for side_name, members in sides.items():
-        side_flags = {bool(hellos[m.incarnation_id]["high"]) for m in members}
+        side_flags = {hellos[m.incarnation_id]["high"] for m in members}
         if len(side_flags) > 1:
-            error = ProtocolError(f"{side_name} members disagree on the high flag")
-            break
+            return ProtocolError(f"{side_name} members disagree on the high flag")
         flags[side_name] = side_flags.pop()
-    if error is None and flags[Side.PARENT.value] == flags[Side.CHILD.value]:
-        error = ProtocolError(
+    if flags[Side.PARENT.value] == flags[Side.CHILD.value]:
+        return ProtocolError(
             "both sides of the merge passed high="
             f"{flags[Side.PARENT.value]}; exactly one side must be high")
-
-    new_epoch = 1 + max(int(h["epoch"]) for h in hellos.values())
-    if error is not None:
-        payload = error_outcome(error)
-        for member in by_id.values():
-            if member.incarnation_id != node.incarnation_id:
-                node.send_to(member, Envelope(
-                    epoch=new_epoch, tag=wire.TAG_MERGE_OUTCOME,
-                    src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-                    payload=payload))
-        raise error
-
-    low_side = Side.PARENT.value if not flags[Side.PARENT.value] else Side.CHILD.value
-    high_side = Side.CHILD.value if low_side == Side.PARENT.value else Side.PARENT.value
-    merged = sides[low_side] + sides[high_side]
-    roster_json = [m.to_json() for m in merged]
-    my_result = None
-    for new_rank, member in enumerate(merged):
-        result = {"epoch": new_epoch, "roster": roster_json, "your_rank": new_rank}
-        if member.incarnation_id == node.incarnation_id:
-            my_result = result
-            continue
-        node.send_to(member, Envelope(
-            epoch=new_epoch, tag=wire.TAG_MERGE_OUTCOME,
-            src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-            payload=ok_outcome(wire.json_payload(result))))
-    return my_result
+    return None
 
 
 def _establish_mesh(node, group: Group, remaining) -> None:

@@ -139,7 +139,12 @@ def init_new_process(node: Optional[Node] = None,
             "this node already merged with its parent; the inter-group "
             "is consumed")
     inter = attach_parent(node=node, ticket=ticket)
-    group = merge(inter, high=True, timeout=timeout)
+    try:
+        group = merge(inter, high=True, timeout=timeout)
+    except BaseException:
+        if node is None:  # attach_parent made this node; nobody else can close it
+            inter.local_group.node.close()
+        raise
     group.node.merged_with_parent = True
     return group
 

@@ -264,7 +264,7 @@ def _launch_and_register(node, group, spec, launcher, registration_timeout):
             index = msg.get("child_index")
             if not isinstance(index, int) or not (0 <= index < spec.count):
                 raise ProtocolError(f"registration with bad child_index {index!r}")
-            registered[index] = MemberDescriptor.from_json(msg["descriptor"])
+            registered[index] = MemberDescriptor.from_json(msg.get("descriptor"))
     except Exception as exc:
         _abort_children(node, group, launcher, handles, registered, exc)
         raise

@@ -43,6 +43,10 @@ ID_BLOCK_WIDTH = 128
 
 DEFAULT_DRAIN_TIMEOUT = 5.0
 
+# Fields a command must carry, by op; a command lacking one gets an error reply.
+REQUIRED_FIELDS = {"scale_out": ("num_add", "child_program"),
+                   "scale_in": ("is_removing",)}
+
 
 class MalformedEnvironment(Exception):
     pass
@@ -147,6 +151,9 @@ def _serve(node, group, channel, drain_timeout):
         op = cmd.get("op")
         seq = cmd.get("seq")
         try:
+            missing = [f for f in REQUIRED_FIELDS.get(op, ()) if f not in cmd]
+            if missing:
+                raise ProtocolError(f"{op} command lacks fields {missing}")
             if op == "stop":
                 _reply(node, channel, seq, {"ok": True, "stopped": True})
                 return 0

@@ -13,7 +13,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from egroup import Group, InterGroup, RetirementToken, Side, SplitKey
+from egroup import Group, InterGroup, RetirementToken, Side, SplitKey, wire
 from egroup.collectives import (
     allgather,
     barrier,
@@ -23,6 +23,8 @@ from egroup.collectives import (
     split,
 )
 from egroup.errors import ProtocolError
+from egroup.transport import match_fields
+from egroup.wire import Envelope
 
 from conftest import cluster, run_members
 
@@ -218,6 +220,25 @@ class TestSplit:
         with pytest.raises(ValueError):
             SplitKey(color=-1, key=0)
 
+    def test_negative_retiring_color_rejected_before_any_frame(self):
+        with cluster(2) as groups:
+            def member(group):
+                with pytest.raises(ValueError):
+                    split(group, SplitKey(color=0, key=0), retiring_color=-1)
+                # No tag was drawn, so the group still runs in lockstep.
+                return allgather(group, bytes([group.my_rank]))
+
+            assert run_members(member, groups) == [b"\x00\x01"] * 2
+
+    def test_int64_extremes_order_ranks(self):
+        keys = [2 ** 63 - 1, -2 ** 63, 0]
+        with cluster(3) as groups:
+            def member(group):
+                return split(group, SplitKey(color=2 ** 63 - 1,
+                                             key=keys[group.my_rank])).my_rank
+
+            assert run_members(member, groups) == [2, 0, 1]
+
 
 def make_intergroups(parent_groups, child_groups):
     """Hand-build the two sides' InterGroup views of each other."""
@@ -284,6 +305,36 @@ class TestMerge:
 
             assert run_members(member, inters) == [True, True, True]
 
+    @pytest.mark.parametrize("bad", [{"high": "yes"}, {"high": None},
+                                     {"epoch": "x"}, {"epoch": 0.5}],
+                             ids=["high-str", "high-missing", "epoch-str",
+                                  "epoch-float"])
+    def test_malformed_hello_fails_every_member(self, bad):
+        with cluster(2) as parents, cluster(1) as children:
+            inters = make_intergroups(parents, children)
+
+            def parent(inter):
+                with pytest.raises(ProtocolError, match="malformed merge hello"):
+                    merge(inter, high=False)
+                return True
+
+            def child(inter):
+                # Hand-sent in place of merge(), so the hello can be malformed.
+                node = inter.local_group.node
+                hello = {"id": node.incarnation_id, "side": Side.CHILD.value,
+                         "high": True, "epoch": 0, **bad}
+                hello = {k: v for k, v in hello.items() if v is not None}
+                node.send_to(inter.remote_roster[0], Envelope(
+                    epoch=0, tag=wire.TAG_MERGE_HELLO, src_rank=0,
+                    dst_rank=wire.NO_RANK, payload=wire.json_payload(hello)))
+                outcome = node.endpoint.recv(
+                    match_fields(tag=wire.TAG_MERGE_OUTCOME), timeout=30)
+                with pytest.raises(ProtocolError, match="malformed merge hello"):
+                    wire.unwrap_outcome(outcome.payload)
+                return True
+
+            assert run_members([parent, parent, child], inters) == [True] * 3
+
     def test_consumed_intergroup_rejected(self):
         with cluster(1) as parents, cluster(1) as children:
             inters = make_intergroups(parents, children)
@@ -295,3 +346,44 @@ class TestMerge:
                 return True
 
             assert run_members(member, inters) == [True, True]
+
+
+class TestOneStar:
+    """barrier and split run on allgather's star, and the merge publishes
+    one outcome that carries only the epoch."""
+
+    @pytest.fixture
+    def sent(self, monkeypatch):
+        frames = []
+        pack = wire.pack
+
+        def counting_pack(envelope):
+            frames.append(envelope)
+            return pack(envelope)
+
+        monkeypatch.setattr(wire, "pack", counting_pack)
+        return frames
+
+    def test_barrier_and_split_send_two_frames_per_non_root(self, sent):
+        n = 4
+        with cluster(n) as groups:
+            # Open the star's channels first, so handshakes are not counted.
+            run_members(lambda group: allgather(group, b"x"), groups)
+            sent.clear()
+            run_members(barrier, groups)
+            assert len(sent) == 2 * (n - 1)
+            sent.clear()
+            run_members(lambda group: split(
+                group, SplitKey(color=group.my_rank % 2, key=0)), groups)
+            assert len(sent) == 2 * (n - 1)
+
+    def test_merge_outcome_is_the_same_bytes_for_every_member(self, sent):
+        with cluster(2) as parents, cluster(3) as children:
+            inters = make_intergroups(parents, children)
+            run_members(lambda inter: merge(inter, high=inter.side is Side.CHILD),
+                        inters)
+        outcomes = [e.payload for e in sent if e.tag == wire.TAG_MERGE_OUTCOME]
+        assert len(outcomes) == 4
+        assert len(set(outcomes)) == 1
+        assert wire.parse_json_payload(wire.unwrap_outcome(outcomes[0])) == \
+            {"epoch": 1}

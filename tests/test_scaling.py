@@ -14,10 +14,10 @@ from egroup import (
     RetirementToken,
     ThreadLauncher,
 )
-from egroup.collectives import allgather, barrier
+from egroup.collectives import allgather, barrier, merge
 from egroup.errors import ProtocolError, SpawnError
 from egroup.scaling import init_new_process, scale_in, scale_out
-from egroup.spawner import BootstrapTicket, LocalProcessLauncher
+from egroup.spawner import BootstrapTicket, LocalProcessLauncher, SpawnSpec, spawn
 
 from conftest import cluster, run_members
 
@@ -164,6 +164,30 @@ class TestScaleOut:
                 assert isinstance(world.double_init_error[0], ProtocolError)
         finally:
             world.close()
+
+    def test_failed_merge_closes_the_node_init_made(self):
+        # Both sides pass high=True, so the merge fails on both.
+        errors = []
+        finished = threading.Event()
+
+        def child(env):
+            try:
+                init_new_process(ticket=BootstrapTicket.from_env(env), timeout=30)
+            except Exception as exc:
+                errors.append(exc)
+            finally:
+                finished.set()
+
+        before = set(threading.enumerate())
+        with cluster(1) as groups:
+            inter = spawn(groups[0], 0, SpawnSpec(program="-", count=1),
+                          launcher=ThreadLauncher(child))
+            with pytest.raises(ProtocolError):
+                merge(inter, high=True)
+            assert finished.wait(30)
+        assert [type(exc) for exc in errors] == [ProtocolError]
+        assert not [t for t in set(threading.enumerate()) - before
+                    if t.name.startswith("io-")]
 
     def test_second_init_in_spawned_process_is_fenced(self, tmp_path):
         # The ticket in a spawned process's environment names the parent's

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from egroup import Node, Side, ThreadLauncher
+from egroup import Node, Side, ThreadLauncher, wire
 from egroup.collectives import allgather
 from egroup.errors import ConnectError, NotSpawnedError, ProtocolError, SpawnError
 from egroup.spawner import (
@@ -23,6 +23,8 @@ from egroup.spawner import (
     attach_parent,
     spawn,
 )
+
+from egroup.wire import Envelope
 
 from conftest import cluster, run_members
 
@@ -249,6 +251,29 @@ class TestSpawnWithThreads:
         with cluster(1) as groups:
             with pytest.raises(ValueError):
                 spawn(groups[0], 3, SpawnSpec(program="-", count=1))
+
+    def test_registration_without_descriptor_is_protocol_error(self):
+        done = threading.Event()
+
+        def child(env):
+            ticket = BootstrapTicket.from_env(env)
+            with Node(host_label=ticket.host_label) as node:
+                node.endpoint.connect(ticket.parent_address).send(Envelope(
+                    epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REGISTER,
+                    src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
+                    payload=wire.json_payload(
+                        {"child_index": ticket.child_index})))
+                done.wait(30)
+
+        try:
+            with cluster(1) as groups:
+                with pytest.raises(ProtocolError, match="descriptor"):
+                    spawn(groups[0], 0, SpawnSpec(program="-", count=1),
+                          launcher=ThreadLauncher(child),
+                          registration_timeout=10.0)
+                assert allgather(groups[0], b"ok") == b"ok"
+        finally:
+            done.set()
 
 
 class TestAttachParent:

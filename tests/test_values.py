@@ -127,6 +127,9 @@ def test_spawn_spec_stores_tuples():
     (InterGroup, dict(local_group=GROUP, remote_roster=ROSTER[1:],
                       side=Side.PARENT)),
     (SplitKey, dict(color=-1, key=0)),
+    (SplitKey, dict(color=2 ** 63, key=0)),
+    (SplitKey, dict(color=0, key=2 ** 63)),
+    (SplitKey, dict(color=0, key=-2 ** 63 - 1)),
     (SpawnSpec, dict(program="w", count=0)),
     (SpawnSpec, dict(program="w", count=2, host_labels=("a",))),
     (BootstrapTicket, dict(parent_address="a:1", parent_epoch=0,

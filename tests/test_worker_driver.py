@@ -102,6 +102,23 @@ class TestFleet:
             drv.close()
         assert [p.returncode for p in procs] == [0, 0]
 
+    def test_command_missing_a_field_gets_an_error_reply(self):
+        drv = Driver(startup_timeout=30, command_timeout=30)
+        procs = []
+        try:
+            drv.start_fleet(2)
+            procs = [h.proc for h in drv.workers]
+            with pytest.raises(CommandFailure) as excinfo:
+                drv.command_all("scale_in")
+            assert isinstance(excinfo.value.error, ProtocolError)
+            with pytest.raises(CommandFailure, match="num_add"):
+                drv.command_all("scale_out", child_program="unused")
+            drv.barrier()
+            assert sorted(m["rank"] for m in drv.ping().values()) == [0, 1]
+        finally:
+            drv.close()
+        assert [p.returncode for p in procs] == [0, 0]
+
     def test_stop_exits_cleanly(self):
         with Driver(startup_timeout=30) as drv:
             drv.start_fleet(2)
