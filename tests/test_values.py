@@ -127,9 +127,6 @@ def test_spawn_spec_stores_tuples():
     (InterGroup, dict(local_group=GROUP, remote_roster=ROSTER[1:],
                       side=Side.PARENT)),
     (SplitKey, dict(color=-1, key=0)),
-    (SplitKey, dict(color=2 ** 63, key=0)),
-    (SplitKey, dict(color=0, key=2 ** 63)),
-    (SplitKey, dict(color=0, key=-2 ** 63 - 1)),
     (SpawnSpec, dict(program="w", count=0)),
     (SpawnSpec, dict(program="w", count=2, host_labels=("a",))),
     (BootstrapTicket, dict(parent_address="a:1", parent_epoch=0,
@@ -145,6 +142,16 @@ def test_spawn_spec_stores_tuples():
 def test_checks_raise_value_error(cls, kwargs):
     with pytest.raises(ValueError):
         cls(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(color=2 ** 63, key=0),
+    dict(color=0, key=2 ** 63),
+    dict(color=0, key=-2 ** 63 - 1),
+])
+def test_split_key_fits_its_block(kwargs):
+    with pytest.raises(ValueError):
+        SplitKey(**kwargs)
 
 
 def test_group_equality_ignores_node():
