@@ -98,79 +98,51 @@ def hosts_for(members: int, slots_per_host: int) -> int:
     return -(-members // slots_per_host) if members > 0 else 0
 
 
-def _failure_record(scenario, config, delta, trial, members_after):
-    nan = float("nan")
-    return BenchRecord(scenario=scenario, initial=config.initial, delta=delta,
-                       trial=trial, total_s=nan, spawn_s=nan, other_s=nan,
-                       hosts_used=hosts_for(members_after, config.slots_per_host))
-
-
 def run_scale_out_bench(config: BenchConfig, log=None) -> list:
     """For each delta and trial, grow a fresh fleet of ``initial`` workers
     by ``delta`` and record the phase breakdown."""
-    config.validate_for(SCENARIO_SCALE_OUT)
-    records = []
-    for delta in config.deltas:
-        for trial in range(config.trials):
-            records.append(_scale_out_trial(config, delta, trial, log))
-    return records
-
-
-def _scale_out_trial(config, delta, trial, log) -> BenchRecord:
-    members_after = config.initial + delta
-    try:
-        with Driver(worker_command=config.worker_command(),
-                    slots_per_host=config.slots_per_host) as driver:
-            driver.start_fleet(config.initial)
-            driver.barrier()
-            reply = driver.scale_out(delta)
-            total = float(reply["total_s"])
-            spawn = float(reply["spawn_s"])
-            driver.stop_all()
-        return BenchRecord(
-            scenario=SCENARIO_SCALE_OUT, initial=config.initial, delta=delta,
-            trial=trial, total_s=total, spawn_s=spawn,
-            other_s=max(0.0, total - spawn),
-            hosts_used=hosts_for(members_after, config.slots_per_host))
-    except (EGroupError, TimeoutError, OSError) as exc:
-        if log is not None:
-            print(f"scale_out delta={delta} trial={trial} failed: {exc}",
-                  file=log)
-        return _failure_record(SCENARIO_SCALE_OUT, config, delta, trial,
-                               members_after)
+    return _run_bench(SCENARIO_SCALE_OUT, config, log)
 
 
 def run_scale_in_bench(config: BenchConfig, log=None) -> list:
     """For each delta and trial, start ``initial`` workers and remove the
     ``delta`` highest-ranked ones."""
-    config.validate_for(SCENARIO_SCALE_IN)
-    records = []
-    for delta in config.deltas:
-        for trial in range(config.trials):
-            records.append(_scale_in_trial(config, delta, trial, log))
-    return records
+    return _run_bench(SCENARIO_SCALE_IN, config, log)
 
 
-def _scale_in_trial(config, delta, trial, log) -> BenchRecord:
-    members_after = config.initial - delta
+def _run_bench(scenario, config, log) -> list:
+    config.validate_for(scenario)
+    return [_trial(scenario, config, delta, trial, log)
+            for delta in config.deltas for trial in range(config.trials)]
+
+
+def _trial(scenario, config, delta, trial, log) -> BenchRecord:
+    growing = scenario == SCENARIO_SCALE_OUT
+    members_after = config.initial + (delta if growing else -delta)
+    hosts_used = hosts_for(members_after, config.slots_per_host)
     try:
         with Driver(worker_command=config.worker_command(),
                     slots_per_host=config.slots_per_host) as driver:
             driver.start_fleet(config.initial)
             driver.barrier()
-            reply = driver.scale_in(delta)
-            total = float(reply["total_s"])
+            if growing:
+                reply = driver.scale_out(delta)
+            else:
+                reply = driver.scale_in(delta)
             driver.stop_all()
-        return BenchRecord(
-            scenario=SCENARIO_SCALE_IN, initial=config.initial, delta=delta,
-            trial=trial, total_s=total, spawn_s=0.0, other_s=total,
-            hosts_used=hosts_for(members_after, config.slots_per_host))
     except (EGroupError, TimeoutError, OSError) as exc:
         if log is not None:
-            print(f"scale_in delta={delta} trial={trial} failed: {exc}",
+            print(f"{scenario} delta={delta} trial={trial} failed: {exc}",
                   file=log)
-        return _failure_record(SCENARIO_SCALE_IN, config, delta, trial,
-                               members_after)
+        nan = float("nan")
+        return BenchRecord(scenario=scenario, initial=config.initial,
+                           delta=delta, trial=trial, total_s=nan, spawn_s=nan,
+                           other_s=nan, hosts_used=hosts_used)
+    total = float(reply["total_s"])
+    spawn = float(reply["spawn_s"]) if growing else 0.0
+    return BenchRecord(scenario=scenario, initial=config.initial, delta=delta,
+                       trial=trial, total_s=total, spawn_s=spawn,
+                       other_s=max(0.0, total - spawn), hosts_used=hosts_used)
 
 
 # -- CSV -----------------------------------------------------------------------

@@ -210,15 +210,18 @@ def _coordinate_merge(node, inter: InterGroup, own_hello: bytes,
              Side.CHILD.value: inter.remote_roster}
     by_id = {m.incarnation_id: m for members in sides.values() for m in members}
     hellos = {node.incarnation_id: wire.parse_json_payload(own_hello)}
-    while len(hellos) < len(by_id):
+    error = None
+    while error is None and len(hellos) < len(by_id):
         env = node.endpoint.recv(match_fields(tag=wire.TAG_MERGE_HELLO),
                                  timeout=remaining())
         msg = wire.parse_json_payload(env.payload)
-        if msg.get("id") not in by_id:
-            raise ProtocolError(f"merge hello from unknown member {msg.get('id')!r}")
-        hellos[msg["id"]] = msg
+        if msg.get("id") in by_id:
+            hellos[msg["id"]] = msg
+        else:
+            error = ProtocolError(
+                f"merge hello from unknown member {msg.get('id')!r}")
 
-    error = _check_hellos(sides, hellos)
+    error = error or _check_hellos(sides, hellos)
     new_epoch = 1 + max(h["epoch"] for h in hellos.values()
                         if type(h.get("epoch")) is int)
     payload = (ok_outcome(wire.json_payload({"epoch": new_epoch}))

@@ -1,16 +1,16 @@
 """Fleet orchestration for the benchmark harness and integration tests.
 
-The driver is not a group member: it launches the initial workers, hands
-them the epoch-0 roster through a rendezvous exchange, then scripts them with
-commands over the reserved low tag range. Spawned children introduce
-themselves to the driver after merging, so the driver's view of the fleet
-follows every scale event.
+The driver is not a group member. It is the spawn root of epoch 0: it
+launches the initial workers with bootstrap tickets that name it as their
+parent, and answers their registrations with the sibling roster, which
+becomes the epoch-0 group. It then scripts them with commands over the
+reserved low tag range. Spawned children introduce themselves to the driver
+after merging, so the driver's view of the fleet follows every scale event.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import subprocess
 import sys
 import time
@@ -21,14 +21,7 @@ from . import wire
 from .errors import EGroupError, ProtocolError, error_from_fields
 from .groups import MemberDescriptor
 from .node import Node
-from .spawner import (
-    ENV_HOST_LABEL,
-    ENV_MEMBER_INDEX,
-    ENV_PREFIX,
-    ENV_RENDEZVOUS_ADDR,
-    ENV_WORLD_SIZE,
-)
-from .transport import match_fields
+from .spawner import LocalProcessLauncher, SpawnSpec, launch_and_register
 from .wire import Envelope
 
 log = logging.getLogger(__name__)
@@ -91,6 +84,8 @@ class Driver:
         self.workers = []
         self.epoch = 0
         self._seq = 0
+        self._launcher = LocalProcessLauncher(stdout=subprocess.DEVNULL,
+                                              stderr=stderr)
         self._procs = []
 
     @property
@@ -104,49 +99,27 @@ class Driver:
     # -- fleet bootstrap -------------------------------------------------------
 
     def start_fleet(self, initial: int) -> None:
-        """Launch the initial workers and distribute the epoch-0 roster."""
+        """Launch the initial workers as the spawn root of epoch 0; each one
+        registers through its bootstrap ticket and takes its siblings, in
+        slot order, as the epoch-0 group. Raises SpawnError, with every
+        launched worker stopped, if one fails to register in time."""
         if self.workers:
             raise ProtocolError("fleet already started")
         if initial < 1:
             raise ValueError(f"initial must be positive, got {initial}")
-        base_env = {k: v for k, v in os.environ.items()
-                    if not k.startswith(ENV_PREFIX)}
-        for index in range(initial):
-            env = dict(base_env)
-            env[ENV_RENDEZVOUS_ADDR] = self.address
-            env[ENV_MEMBER_INDEX] = str(index)
-            env[ENV_WORLD_SIZE] = str(initial)
-            env[ENV_HOST_LABEL] = host_label_for_slot(index, self.slots_per_host)
-            proc = subprocess.Popen(self.worker_command, env=env,
-                                    stdout=subprocess.DEVNULL,
-                                    stderr=self.stderr)
-            self._procs.append(proc)
-
-        deadline = time.monotonic() + self.startup_timeout
-        pending = {}
-        while len(pending) < initial:
-            env, channel = self.node.endpoint.recv_with_channel(
-                match_fields(tag=wire.TAG_DRIVER_REGISTER),
-                timeout=max(0.05, deadline - time.monotonic()))
-            msg = wire.parse_json_payload(env.payload)
-            index = msg["index"]
-            if not (0 <= index < initial) or index in pending:
-                raise ProtocolError(f"bad rendezvous registration index {index}")
-            pending[index] = (MemberDescriptor.from_json(msg["descriptor"]),
-                              channel)
-
-        roster = [pending[i][0] for i in range(initial)]
-        roster_payload = wire.json_payload({
-            "epoch": 0, "roster": [m.to_json() for m in roster]})
-        for index in range(initial):
-            member, channel = pending[index]
-            channel.send(Envelope(
-                epoch=0, tag=wire.TAG_DRIVER_ROSTER,
-                src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-                payload=roster_payload))
-            self.workers.append(WorkerHandle(
-                member=member, channel=channel, rank=index, epoch=0,
-                proc=self._procs[index]))
+        spec = SpawnSpec(
+            program=self.worker_command[0], args=self.worker_command[1:],
+            count=initial,
+            host_labels=[host_label_for_slot(i, self.slots_per_host)
+                         for i in range(initial)])
+        members = launch_and_register(self.node, spec, self._launcher,
+                                      self.startup_timeout,
+                                      handles=self._procs)
+        procs = self._procs[-initial:]
+        self.workers = [
+            WorkerHandle(member=member, channel=self.node.channel_to(member),
+                         rank=index, epoch=0, proc=procs[index])
+            for index, member in enumerate(members)]
         self.epoch = 0
 
     # -- command plumbing ------------------------------------------------------

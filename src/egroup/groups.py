@@ -67,7 +67,7 @@ class MemberDescriptor(Value):
                 listen_address=obj["listen_address"],
                 incarnation_id=obj["incarnation_id"],
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ProtocolError(f"malformed member descriptor: {obj!r}") from exc
 
 

@@ -1,5 +1,7 @@
 """Runtime process creation: launch children, register them with the spawning
-root, and link both sides as an InterGroup ready to merge.
+root, and link both sides as an InterGroup ready to merge. The driver starts
+the initial fleet through the same launch and registration loop, as the
+spawn root of epoch 0 with no parent roster.
 
 Host placement is emulated: children are local processes that receive their
 logical host label through the bootstrap environment, so multi-host layouts
@@ -28,10 +30,6 @@ ENV_PARENT_EPOCH = "EG_PARENT_EPOCH"
 ENV_CHILD_INDEX = "EG_CHILD_INDEX"
 ENV_HOST_LABEL = "EG_HOST_LABEL"
 ENV_CHILD_COUNT = "EG_CHILD_COUNT"
-# Initial-member rendezvous (driver bootstrap), same reserved prefix.
-ENV_RENDEZVOUS_ADDR = "EG_RENDEZVOUS_ADDR"
-ENV_MEMBER_INDEX = "EG_MEMBER_INDEX"
-ENV_WORLD_SIZE = "EG_WORLD_SIZE"
 ENV_PREFIX = "EG_"
 
 DEFAULT_REGISTRATION_TIMEOUT = 30.0
@@ -72,7 +70,8 @@ class SpawnSpec(wire.Value):
 
 
 class BootstrapTicket(wire.Value):
-    """How a spawned child finds its parent, carried in the environment."""
+    """How a child finds its parent, carried in the environment. The parent
+    is a spawning root, or the driver for the workers it starts."""
 
     __slots__ = ("parent_address", "parent_epoch", "child_index",
                  "host_label", "child_count")
@@ -103,17 +102,25 @@ class BootstrapTicket(wire.Value):
         if ENV_PARENT_ADDR not in environ:
             raise NotSpawnedError(
                 "this process was not created by spawn (no bootstrap "
-                "ticket in the environment)")
-        try:
-            return cls(
-                parent_address=environ[ENV_PARENT_ADDR],
-                parent_epoch=int(environ[ENV_PARENT_EPOCH]),
-                child_index=int(environ[ENV_CHILD_INDEX]),
-                host_label=environ[ENV_HOST_LABEL],
-                child_count=int(environ[ENV_CHILD_COUNT]),
-            )
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"malformed bootstrap ticket: {exc}") from exc
+                f"ticket in the environment: {ENV_PARENT_ADDR} is not set)")
+
+        def field(name, convert=str):
+            if name not in environ:
+                raise ValueError(f"malformed bootstrap ticket: {name} is not set")
+            try:
+                return convert(environ[name])
+            except ValueError:
+                raise ValueError(
+                    f"malformed bootstrap ticket: {name} must be an integer, "
+                    f"got {environ[name]!r}") from None
+
+        return cls(
+            parent_address=environ[ENV_PARENT_ADDR],
+            parent_epoch=field(ENV_PARENT_EPOCH, int),
+            child_index=field(ENV_CHILD_INDEX, int),
+            host_label=field(ENV_HOST_LABEL),
+            child_count=field(ENV_CHILD_COUNT, int),
+        )
 
 
 class Launcher:
@@ -136,8 +143,7 @@ class LocalProcessLauncher(Launcher):
     every spawned worker would otherwise pay for it at start-up.
     """
 
-    def __init__(self, extra_env: Optional[dict] = None, stdout=None, stderr=None):
-        self.extra_env = dict(extra_env) if extra_env else {}
+    def __init__(self, stdout=None, stderr=None):
         self.stdout = stdout
         self.stderr = stderr
         self._children = []
@@ -149,7 +155,6 @@ class LocalProcessLauncher(Launcher):
         self._reap()
         env = {k: v for k, v in os.environ.items()
                if not k.startswith(ENV_PREFIX)}
-        env.update(self.extra_env)
         env.update(ticket_env)
         argv = [spec.program] + list(spec.args)
         import subprocess
@@ -223,8 +228,9 @@ def spawn(group: Group, root: int, spec: SpawnSpec,
 
     launcher = launcher if launcher is not None else LocalProcessLauncher()
     try:
-        remote = _launch_and_register(node, group, spec, launcher,
-                                      registration_timeout)
+        remote = launch_and_register(
+            node, spec, launcher, registration_timeout, handles=[],
+            epoch=group.epoch, parents=group.roster, root_rank=group.my_rank)
     except Exception as exc:
         broadcast(group, root, error_outcome(exc))
         raise
@@ -234,21 +240,34 @@ def spawn(group: Group, root: int, spec: SpawnSpec,
                       side=Side.PARENT, parent_root_rank=root)
 
 
-def _launch_and_register(node, group, spec, launcher, registration_timeout):
-    handles = []
+def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,
+                        timeout: float, *, handles: list, epoch: int = 0,
+                        parents: tuple = (), root_rank: int = wire.NO_RANK,
+                        ) -> tuple:
+    """Launch ``spec.count`` children whose tickets name ``node`` at
+    ``epoch``, wait for every one to register, and answer each with the
+    ``parents`` roster, its siblings and ``root_rank``. Returns the children
+    in child_index order.
+
+    Every launcher handle is appended to ``handles`` as it starts. On any
+    failure the children that registered get the error, every launched child
+    is stopped, and the error propagates: a SpawnError naming the missing
+    child_index values once ``timeout`` passes, a ProtocolError on a bad or
+    repeated registration.
+    """
     registered = {}
     try:
         for index in range(spec.count):
             ticket = BootstrapTicket(
                 parent_address=node.listen_address,
-                parent_epoch=group.epoch,
+                parent_epoch=epoch,
                 child_index=index,
                 host_label=spec.label_for(index, node.host_label),
                 child_count=spec.count,
             )
             handles.append(launcher.launch(spec, index, ticket.to_env()))
 
-        deadline = time.monotonic() + registration_timeout
+        deadline = time.monotonic() + timeout
         while len(registered) < spec.count:
             try:
                 env = node.endpoint.recv(
@@ -257,39 +276,40 @@ def _launch_and_register(node, group, spec, launcher, registration_timeout):
             except TimeoutError:
                 missing = sorted(set(range(spec.count)) - set(registered))
                 raise SpawnError(
-                    f"children failed to register within "
-                    f"{registration_timeout:.0f}s: missing child_index "
-                    f"values {missing}") from None
+                    f"children failed to register within {timeout:.0f}s: "
+                    f"missing child_index values {missing}") from None
             msg = wire.parse_json_payload(env.payload)
             index = msg.get("child_index")
-            if not isinstance(index, int) or not (0 <= index < spec.count):
-                raise ProtocolError(f"registration with bad child_index {index!r}")
+            if (type(index) is not int or not 0 <= index < spec.count
+                    or index in registered):
+                raise ProtocolError(
+                    f"registration with bad or repeated child_index {index!r}")
             registered[index] = MemberDescriptor.from_json(msg.get("descriptor"))
     except Exception as exc:
-        _abort_children(node, group, launcher, handles, registered, exc)
+        _abort_children(node, epoch, root_rank, launcher, handles, registered,
+                        exc)
         raise
 
     remote = tuple(registered[i] for i in range(spec.count))
     reply = ok_outcome(wire.json_payload({
-        "parents": [m.to_json() for m in group.roster],
+        "parents": [m.to_json() for m in parents],
         "children": [m.to_json() for m in remote],
-        "parent_root_rank": group.my_rank,
+        "parent_root_rank": root_rank,
     }))
     for member in remote:
         node.send_to(member, Envelope(
-            epoch=group.epoch, tag=wire.TAG_SPAWN_REPLY,
-            src_rank=group.my_rank, dst_rank=wire.NO_RANK, payload=reply))
+            epoch=epoch, tag=wire.TAG_SPAWN_REPLY,
+            src_rank=root_rank, dst_rank=wire.NO_RANK, payload=reply))
     return remote
 
 
-def _abort_children(node, group, launcher, handles, registered, exc):
+def _abort_children(node, epoch, root_rank, launcher, handles, registered, exc):
     payload = error_outcome(SpawnError(f"spawn aborted: {exc}"))
     for member in registered.values():
         try:
             node.send_to(member, Envelope(
-                epoch=group.epoch, tag=wire.TAG_SPAWN_REPLY,
-                src_rank=group.my_rank, dst_rank=wire.NO_RANK,
-                payload=payload))
+                epoch=epoch, tag=wire.TAG_SPAWN_REPLY,
+                src_rank=root_rank, dst_rank=wire.NO_RANK, payload=payload))
         except Exception:
             pass
     for handle in handles:
@@ -297,6 +317,35 @@ def _abort_children(node, group, launcher, handles, registered, exc):
             launcher.stop(handle)
         except Exception:
             pass
+
+
+def register_with_parent(node: Node, ticket: BootstrapTicket,
+                         timeout: float = DEFAULT_REGISTRATION_TIMEOUT
+                         ) -> tuple:
+    """Register with the parent root the ticket names and wait for its reply.
+    Returns the channel the registration went out on and the child-side
+    InterGroup. A worker whose parent is the driver keeps that channel for
+    the driver's commands and takes the InterGroup's local group, its
+    siblings, as the epoch-0 group."""
+    # Adopt the parent's epoch before dialing so fencing on both ends agrees.
+    node.fencing.advance_to(ticket.parent_epoch)
+    channel = node.endpoint.connect(ticket.parent_address)
+    channel.send(Envelope(
+        epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REGISTER,
+        src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
+        payload=wire.json_payload({
+            "child_index": ticket.child_index,
+            "descriptor": node.descriptor().to_json(),
+        })))
+    reply = node.endpoint.recv(match_fields(tag=wire.TAG_SPAWN_REPLY),
+                               timeout=timeout)
+    outcome = wire.parse_json_payload(unwrap_outcome(reply.payload))
+    siblings = tuple(MemberDescriptor.from_json(m) for m in outcome["children"])
+    parents = tuple(MemberDescriptor.from_json(m) for m in outcome["parents"])
+    local = node.make_group(ticket.parent_epoch, siblings, ticket.child_index)
+    return channel, InterGroup(local_group=local, remote_roster=parents,
+                               side=Side.CHILD,
+                               parent_root_rank=outcome["parent_root_rank"])
 
 
 def attach_parent(node: Optional[Node] = None,
@@ -310,25 +359,7 @@ def attach_parent(node: Optional[Node] = None,
     if created:
         node = Node(host_label=ticket.host_label)
     try:
-        # Adopt the parent's epoch before dialing so fencing on both ends agrees.
-        node.fencing.advance_to(ticket.parent_epoch)
-        channel = node.endpoint.connect(ticket.parent_address)
-        channel.send(Envelope(
-            epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REGISTER,
-            src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-            payload=wire.json_payload({
-                "child_index": ticket.child_index,
-                "descriptor": node.descriptor().to_json(),
-            })))
-        reply = node.endpoint.recv(match_fields(tag=wire.TAG_SPAWN_REPLY),
-                                   timeout=timeout)
-        outcome = wire.parse_json_payload(unwrap_outcome(reply.payload))
-        siblings = tuple(MemberDescriptor.from_json(m) for m in outcome["children"])
-        parents = tuple(MemberDescriptor.from_json(m) for m in outcome["parents"])
-        local = node.make_group(ticket.parent_epoch, siblings, ticket.child_index)
-        return InterGroup(local_group=local, remote_roster=parents,
-                          side=Side.CHILD,
-                          parent_root_rank=outcome["parent_root_rank"])
+        return register_with_parent(node, ticket, timeout)[1]
     except BaseException:
         if created:
             node.close()

@@ -1,14 +1,16 @@
 """The reusable worker program.
 
-A worker bootstraps one of two ways: a bootstrap ticket in the environment
-means it was spawned into a running fleet and must merge with its parent;
-otherwise rendezvous variables point it at the driver, which collects the
-initial members and hands out the epoch-0 roster. Either way the worker then
-serves driver commands (barrier, allgather probes, scale events) until it is
-told to stop or a scale_in retires it.
+Every worker starts from the bootstrap ticket in its environment and
+registers with the parent the ticket names. Without ``--driver`` that parent
+is the driver, which launched the initial fleet: the worker takes its
+siblings as the epoch-0 group and hears the driver's commands on the channel
+it registered on. With ``--driver`` the worker was spawned into a running
+fleet: it merges with its parent, then introduces itself to the driver.
+Either way it then serves driver commands (barrier, allgather probes, scale
+events) until it is told to stop or a scale_in retires it.
 
-Exit status: 0 after a stop command or retirement, 2 on a malformed
-environment, 1 on unexpected failure.
+Exit status: 0 after a stop command or retirement, 2 on a missing or
+malformed bootstrap ticket, 1 on unexpected failure.
 """
 
 from __future__ import annotations
@@ -22,17 +24,11 @@ import traceback
 
 from . import wire
 from .collectives import allgather, barrier
-from .errors import EGroupError, ProtocolError, error_fields
-from .groups import MemberDescriptor, RetirementToken, roster_digest
+from .errors import EGroupError, NotSpawnedError, ProtocolError, error_fields
+from .groups import RetirementToken, roster_digest
 from .node import Node
 from .scaling import init_new_process, scale_in, scale_out
-from .spawner import (
-    ENV_MEMBER_INDEX,
-    ENV_PARENT_ADDR,
-    ENV_RENDEZVOUS_ADDR,
-    ENV_WORLD_SIZE,
-    LocalProcessLauncher,
-)
+from .spawner import BootstrapTicket, LocalProcessLauncher, register_with_parent
 from .transport import match_fields
 from .wire import Envelope
 
@@ -48,55 +44,17 @@ REQUIRED_FIELDS = {"scale_out": ("num_add", "child_program"),
                    "scale_in": ("is_removing",)}
 
 
-class MalformedEnvironment(Exception):
-    pass
-
-
-def _require(environ, name):
-    value = environ.get(name)
-    if value is None or value == "":
-        raise MalformedEnvironment(f"missing environment variable {name}")
-    return value
-
-
-def _require_int(environ, name):
-    raw = _require(environ, name)
-    try:
-        return int(raw)
-    except ValueError:
-        raise MalformedEnvironment(
-            f"environment variable {name} must be an integer, got {raw!r}"
-        ) from None
-
-
-def _bootstrap_initial(environ, driver_addr):
-    """Register with the driver's rendezvous and wait for the epoch-0 roster."""
-    index = _require_int(environ, ENV_MEMBER_INDEX)
-    world = _require_int(environ, ENV_WORLD_SIZE)
-    if not (0 <= index < world):
-        raise MalformedEnvironment(
-            f"{ENV_MEMBER_INDEX}={index} out of range for "
-            f"{ENV_WORLD_SIZE}={world}")
-    node = Node()
-    channel = node.endpoint.connect(driver_addr)
-    channel.send(Envelope(
-        epoch=0, tag=wire.TAG_DRIVER_REGISTER,
-        src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-        payload=wire.json_payload({
-            "index": index,
-            "descriptor": node.descriptor().to_json(),
-        })))
-    roster_env = node.endpoint.recv(match_fields(tag=wire.TAG_DRIVER_ROSTER),
-                                    timeout=60.0)
-    msg = wire.parse_json_payload(roster_env.payload)
-    roster = tuple(MemberDescriptor.from_json(m) for m in msg["roster"])
-    group = node.make_group(msg["epoch"], roster, index)
-    return node, group, channel
-
-
-def _bootstrap_spawned(driver_addr):
-    """Merge into the running fleet, then introduce myself to the driver."""
-    group = init_new_process()
+def _bootstrap(ticket, driver_addr):
+    """Join the fleet; returns the node, the group and the driver channel."""
+    if driver_addr is None:
+        node = Node(host_label=ticket.host_label)
+        try:
+            channel, inter = register_with_parent(node, ticket)
+        except BaseException:
+            node.close()
+            raise
+        return node, inter.local_group, channel
+    group = init_new_process(ticket=ticket)
     node = group.node
     channel = node.endpoint.connect(driver_addr)
     channel.send(Envelope(
@@ -154,6 +112,10 @@ def _serve(node, group, channel, drain_timeout):
             missing = [f for f in REQUIRED_FIELDS.get(op, ()) if f not in cmd]
             if missing:
                 raise ProtocolError(f"{op} command lacks fields {missing}")
+            if op == "scale_out" and (type(cmd["num_add"]) is not int
+                                      or cmd["num_add"] < 1):
+                raise ProtocolError(f"scale_out num_add must be a positive "
+                                    f"int, got {cmd['num_add']!r}")
             if op == "stop":
                 _reply(node, channel, seq, {"ok": True, "stopped": True})
                 return 0
@@ -237,28 +199,20 @@ def worker_main(argv=None, environ=None) -> int:
     environ = os.environ if environ is None else environ
     parser = argparse.ArgumentParser(prog="egroup-worker")
     parser.add_argument("--driver", default=None,
-                        help="driver address (host:port); defaults to "
-                             f"{ENV_RENDEZVOUS_ADDR}")
+                        help="driver address (host:port) of a worker spawned "
+                             "into a running fleet; without it the parent "
+                             "named by the bootstrap ticket is the driver")
     parser.add_argument("--drain-timeout", type=float,
                         default=DEFAULT_DRAIN_TIMEOUT,
                         help="maximum seconds to linger after retirement")
     args = parser.parse_args(argv)
 
     try:
-        driver_addr = args.driver or environ.get(ENV_RENDEZVOUS_ADDR)
-        if not driver_addr:
-            raise MalformedEnvironment(
-                f"no driver address: pass --driver or set {ENV_RENDEZVOUS_ADDR}")
-        if ENV_PARENT_ADDR in environ:
-            node, group, channel = _bootstrap_spawned(driver_addr)
-        else:
-            node, group, channel = _bootstrap_initial(environ, driver_addr)
-    except MalformedEnvironment as exc:
+        ticket = BootstrapTicket.from_env(environ)
+    except (NotSpawnedError, ValueError) as exc:
         print(f"egroup-worker: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"egroup-worker: {exc}", file=sys.stderr)
-        return 2
+    node, group, channel = _bootstrap(ticket, args.driver)
 
     try:
         status = _serve(node, group, channel, args.drain_timeout)

@@ -53,8 +53,11 @@ class TestMemberDescriptor:
         assert MemberDescriptor.from_json(m.to_json()) == m
 
     def test_from_json_rejects_malformed(self):
-        with pytest.raises(ProtocolError):
-            MemberDescriptor.from_json({"host_label": "a"})
+        fields = {"listen_address": "127.0.0.1:1", "incarnation_id": "x"}
+        for obj in ({"host_label": "a"}, {"host_label": 5, **fields},
+                    {"host_label": "", **fields}):
+            with pytest.raises(ProtocolError):
+                MemberDescriptor.from_json(obj)
 
     def test_incarnation_ids_are_unique(self):
         ids = {new_incarnation_id("h") for _ in range(1000)}

@@ -1,4 +1,5 @@
-"""Module boundaries: no egroup module reaches into another's private names."""
+"""Module boundaries: no egroup module reaches into another's private names,
+and only the spawner starts processes."""
 
 import ast
 import pathlib
@@ -40,3 +41,28 @@ def test_check_sees_private_imports(tmp_path):
                       "wire._OK\n")
     assert list(private_uses(sample)) == [
         "sample.py:1 imports _err", "sample.py:3 uses wire._OK"]
+
+
+def popen_calls(path):
+    """Yield each call of ``Popen``, bare or as a module attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "Popen" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+            yield f"{path.name}:{node.lineno} calls Popen"
+
+
+def test_only_the_spawner_starts_processes():
+    found = [call for path in sorted(SRC.glob("*.py"))
+             if path.name != "spawner.py" for call in popen_calls(path)]
+    assert found == []
+
+
+def test_check_sees_popen_calls(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import subprocess\n"
+                      "from subprocess import Popen\n"
+                      "proc: subprocess.Popen = subprocess.Popen(['x'])\n"
+                      "Popen(['y'])\n")
+    assert list(popen_calls(sample)) == [
+        "sample.py:3 calls Popen", "sample.py:4 calls Popen"]

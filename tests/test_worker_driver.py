@@ -3,13 +3,20 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from egroup import wire
 from egroup.driver import CommandFailure, Driver, host_label_for_slot
-from egroup.errors import ProtocolError
-from egroup.spawner import ENV_MEMBER_INDEX, ENV_RENDEZVOUS_ADDR, ENV_WORLD_SIZE
+from egroup.errors import ProtocolError, SpawnError
+from egroup.spawner import (
+    ENV_CHILD_COUNT,
+    ENV_CHILD_INDEX,
+    ENV_HOST_LABEL,
+    ENV_PARENT_ADDR,
+    ENV_PARENT_EPOCH,
+)
 from egroup.wire import Envelope
 
 
@@ -118,6 +125,40 @@ class TestFleet:
         finally:
             drv.close()
         assert [p.returncode for p in procs] == [0, 0]
+
+    def test_scale_out_with_a_non_int_num_add_gets_an_error_reply(self):
+        drv = Driver(startup_timeout=30, command_timeout=30)
+        procs = []
+        try:
+            drv.start_fleet(2)
+            procs = [h.proc for h in drv.workers]
+            for num_add in ("2", True):
+                with pytest.raises(CommandFailure, match="num_add") as excinfo:
+                    drv.command_all("scale_out", num_add=num_add,
+                                    child_program=sys.executable)
+                assert isinstance(excinfo.value.error, ProtocolError)
+            drv.barrier()
+            assert sorted(m["rank"] for m in drv.ping().values()) == [0, 1]
+        finally:
+            drv.close()
+        assert [p.returncode for p in procs] == [0, 0]
+
+    def test_start_fleet_that_never_registers_raises_and_stops_workers(self):
+        drv = Driver(worker_command=[sys.executable, "-c",
+                                     "import time; time.sleep(30)"],
+                     startup_timeout=1)
+        try:
+            start = time.monotonic()
+            with pytest.raises(SpawnError, match=r"missing child_index "
+                                                 r"values \[0, 1, 2\]"):
+                drv.start_fleet(3)
+            assert time.monotonic() - start < 10
+            assert drv.size == 0
+            codes = drv.wait_for_exit(timeout=1)
+            assert len(codes) == 3
+            assert None not in codes.values(), "a worker is still running"
+        finally:
+            drv.close()
 
     def test_stop_exits_cleanly(self):
         with Driver(startup_timeout=30) as drv:
@@ -228,21 +269,25 @@ class TestWorkerExitCodes:
     def test_no_driver_address_is_usage_error(self):
         proc = self.run_worker()
         assert proc.returncode == 2
-        assert "driver address" in proc.stderr
+        assert ENV_PARENT_ADDR in proc.stderr
 
     def test_malformed_member_index_is_usage_error(self):
         env = clean_env()
-        env[ENV_RENDEZVOUS_ADDR] = "127.0.0.1:1"
-        env[ENV_MEMBER_INDEX] = "first"
-        env[ENV_WORLD_SIZE] = "2"
+        env[ENV_PARENT_ADDR] = "127.0.0.1:1"
+        env[ENV_PARENT_EPOCH] = "0"
+        env[ENV_CHILD_INDEX] = "first"
+        env[ENV_HOST_LABEL] = "node0"
+        env[ENV_CHILD_COUNT] = "2"
         proc = self.run_worker(env=env)
         assert proc.returncode == 2
-        assert ENV_MEMBER_INDEX in proc.stderr
+        assert ENV_CHILD_INDEX in proc.stderr
 
     def test_missing_world_size_is_usage_error(self):
         env = clean_env()
-        env[ENV_RENDEZVOUS_ADDR] = "127.0.0.1:1"
-        env[ENV_MEMBER_INDEX] = "0"
+        env[ENV_PARENT_ADDR] = "127.0.0.1:1"
+        env[ENV_PARENT_EPOCH] = "0"
+        env[ENV_CHILD_INDEX] = "0"
+        env[ENV_HOST_LABEL] = "node0"
         proc = self.run_worker(env=env)
         assert proc.returncode == 2
-        assert ENV_WORLD_SIZE in proc.stderr
+        assert ENV_CHILD_COUNT in proc.stderr
