@@ -215,7 +215,7 @@ def _coordinate_merge(node, inter: InterGroup, own_hello: bytes,
         env = node.endpoint.recv(match_fields(tag=wire.TAG_MERGE_HELLO),
                                  timeout=remaining())
         msg = wire.parse_json_payload(env.payload)
-        if msg.get("id") in by_id:
+        if isinstance(msg.get("id"), str) and msg["id"] in by_id:
             hellos[msg["id"]] = msg
         else:
             error = ProtocolError(

@@ -4,8 +4,10 @@ The driver is not a group member. It is the spawn root of epoch 0: it
 launches the initial workers with bootstrap tickets that name it as their
 parent, and answers their registrations with the sibling roster, which
 becomes the epoch-0 group. It then scripts them with commands over the
-reserved low tag range. Spawned children introduce themselves to the driver
-after merging, so the driver's view of the fleet follows every scale event.
+reserved low tag range. It reaches every worker the same way, by its
+member descriptor: after a scale-out it reads the children's descriptors
+from the workers' replies, dials each child and pings it, so the driver's
+view of the fleet follows every scale event.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import EGroupError, ProtocolError, error_from_fields
 from .groups import MemberDescriptor
 from .node import Node
 from .spawner import LocalProcessLauncher, SpawnSpec, launch_and_register
+from .transport import match_fields
 from .wire import Envelope
 
 log = logging.getLogger(__name__)
@@ -49,7 +52,6 @@ class WorkerHandle:
     """Driver-side view of one live worker."""
 
     member: MemberDescriptor
-    channel: object
     rank: int
     epoch: int
     proc: Optional[subprocess.Popen] = None
@@ -89,10 +91,6 @@ class Driver:
         self._procs = []
 
     @property
-    def address(self) -> str:
-        return self.node.listen_address
-
-    @property
     def size(self) -> int:
         return len(self.workers)
 
@@ -117,8 +115,7 @@ class Driver:
                                       handles=self._procs)
         procs = self._procs[-initial:]
         self.workers = [
-            WorkerHandle(member=member, channel=self.node.channel_to(member),
-                         rank=index, epoch=0, proc=procs[index])
+            WorkerHandle(member=member, rank=index, epoch=0, proc=procs[index])
             for index, member in enumerate(members)]
         self.epoch = 0
 
@@ -132,7 +129,7 @@ class Driver:
         payload = dict(params)
         payload["op"] = op
         payload["seq"] = seq
-        handle.channel.send(Envelope(
+        self.node.send_to(handle.member, Envelope(
             epoch=max(handle.epoch, 0), tag=wire.TAG_DRIVER_CMD,
             src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
             payload=wire.json_payload(payload)))
@@ -153,43 +150,41 @@ class Driver:
             f"(waiting on {seq})")
 
     def _collect_replies(self, seq: int, count: int,
-                         timeout: Optional[float] = None,
-                         hellos: int = 0) -> tuple:
-        """Gather ``count`` replies for ``seq``, keyed by incarnation id, and
-        ``hellos`` hello messages from new children, each with its channel."""
+                         timeout: Optional[float] = None) -> dict:
+        """Gather ``count`` replies for ``seq``, keyed by incarnation id."""
         timeout = timeout if timeout is not None else self.command_timeout
         deadline = time.monotonic() + timeout
-        tags = ((wire.TAG_DRIVER_REPLY, wire.TAG_DRIVER_HELLO) if hellos
-                else (wire.TAG_DRIVER_REPLY,))
         replies = {}
-        greetings = []
-        while len(replies) < count or len(greetings) < hellos:
-            env, channel = self.node.endpoint.recv_with_channel(
-                lambda e: e.tag in tags,
+        while len(replies) < count:
+            env = self.node.endpoint.recv(
+                match_fields(tag=wire.TAG_DRIVER_REPLY),
                 timeout=max(0.05, deadline - time.monotonic()))
             msg = wire.parse_json_payload(env.payload)
-            if env.tag == wire.TAG_DRIVER_HELLO:
-                greetings.append((msg, channel))
-            elif self._answers(msg, seq):
+            if self._answers(msg, seq):
                 replies[msg["id"]] = msg
-        return replies, greetings
+        return replies
 
-    def _raise_failures(self, replies: dict) -> None:
-        for handle in self.workers:
+    def _command(self, handles: list, op: str, per_worker_params=None,
+                 timeout: Optional[float] = None, **params) -> dict:
+        """Send one command to each of ``handles`` and wait for every reply;
+        raises CommandFailure for the first one that reports an error."""
+        seq = self._next_seq()
+        for handle in handles:
+            extra = (per_worker_params or {}).get(handle.incarnation_id, {})
+            self._send_command(handle, seq, op, **params, **extra)
+        replies = self._collect_replies(seq, len(handles), timeout)
+        for handle in handles:
             msg = replies.get(handle.incarnation_id)
             if msg is not None and not msg.get("ok", False):
-                raise CommandFailure(rank=handle.rank, error=error_from_fields(msg))
+                raise CommandFailure(rank=handle.rank,
+                                     error=error_from_fields(msg))
+        return replies
 
     def command_all(self, op: str, per_worker_params=None,
                     timeout: Optional[float] = None, **params) -> dict:
         """Send one command to every worker and wait for every reply."""
-        seq = self._next_seq()
-        for handle in self.workers:
-            extra = (per_worker_params or {}).get(handle.incarnation_id, {})
-            self._send_command(handle, seq, op, **params, **extra)
-        replies, _ = self._collect_replies(seq, len(self.workers), timeout)
-        self._raise_failures(replies)
-        return replies
+        return self._command(self.workers, op, per_worker_params, timeout,
+                             **params)
 
     # -- scripted fleet operations ---------------------------------------------
 
@@ -207,52 +202,46 @@ class Driver:
         """Returns {incarnation_id: {"ids": [...], "elapsed_s": s}}."""
         return self.command_all("allgather_ids")
 
-    def scale_out(self, delta: int, child_program=None, child_args=None,
-                  registration_timeout: float = 30.0,
-                  timeout: Optional[float] = None) -> dict:
+    def scale_out(self, delta: int, timeout: Optional[float] = None) -> dict:
         """Grow the fleet by ``delta`` spawned children; returns the rank-0
-        worker's timing reply."""
+        worker's timing reply once every child has answered the driver at
+        its expected rank and epoch."""
         if delta < 1:
             raise ValueError(f"delta must be positive, got {delta}")
-        if child_program is None:
-            child_program = self.worker_command[0]
-            child_args = list(self.worker_command[1:]) + [
-                "--driver", self.address]
-        elif child_args is None:
-            child_args = ["--driver", self.address]
         labels = [host_label_for_slot(self.size + j, self.slots_per_host)
                   for j in range(delta)]
-
-        seq = self._next_seq()
-        for handle in self.workers:
-            self._send_command(
-                handle, seq, "scale_out", num_add=delta,
-                child_program=child_program, child_args=list(child_args),
-                host_labels=labels, registration_timeout=registration_timeout)
-
-        replies, hellos = self._collect_replies(
-            seq, len(self.workers), timeout, hellos=delta)
-        self._raise_failures(replies)
+        replies = self.command_all(
+            "scale_out", timeout=timeout, num_add=delta,
+            child_program=self.worker_command[0],
+            child_args=self.worker_command[1:], host_labels=labels)
 
         new_epoch = self.epoch + 1
         for handle in self.workers:
-            msg = replies[handle.incarnation_id]
-            if msg["rank"] != handle.rank:
-                raise ProtocolError(
-                    f"rank changed across scale_out: {handle.rank} -> "
-                    f"{msg['rank']}")
-            handle.epoch = msg["epoch"]
-        for msg, channel in hellos:
-            self.workers.append(WorkerHandle(
-                member=MemberDescriptor.from_json(msg["descriptor"]),
-                channel=channel, rank=msg["rank"], epoch=msg["epoch"]))
-        self.workers.sort(key=lambda h: h.rank)
-        ranks = [h.rank for h in self.workers]
-        if ranks != list(range(len(self.workers))):
-            raise ProtocolError(f"fleet ranks not dense after scale_out: {ranks}")
+            handle.epoch = new_epoch
+            self._check_position(handle, replies[handle.incarnation_id])
+        root = replies[self.workers[0].incarnation_id]
+        children = [
+            WorkerHandle(member=MemberDescriptor.from_json(m),
+                         rank=self.size + j, epoch=new_epoch)
+            for j, m in enumerate(root.get("children", ()))]
+        if len(children) != delta:
+            raise ProtocolError(
+                f"scale_out by {delta} reported {len(children)} children")
+        # The first command to a child dials it by its descriptor.
+        pongs = self._command(children, "ping", timeout=timeout)
+        for handle in children:
+            self._check_position(handle, pongs[handle.incarnation_id])
+        self.workers.extend(children)
         self.epoch = new_epoch
-        root_id = self.workers[0].incarnation_id
-        return replies[root_id]
+        return root
+
+    @staticmethod
+    def _check_position(handle: WorkerHandle, msg: dict) -> None:
+        got = (msg.get("rank"), msg.get("epoch"))
+        if got != (handle.rank, handle.epoch):
+            raise ProtocolError(
+                f"worker {handle.incarnation_id} answered at (rank, epoch) "
+                f"{got}, expected {(handle.rank, handle.epoch)}")
 
     def scale_in(self, delta: int, timeout: Optional[float] = None) -> dict:
         """Remove the ``delta`` highest-ranked workers; returns the remaining
@@ -322,14 +311,7 @@ class Driver:
                 # signal now would cut short whatever they do on the way out.
                 self.wait_for_exit(stopping, timeout=STOP_GRACE)
             for proc in self._procs:
-                if proc.poll() is None:
-                    proc.terminate()
-            for proc in self._procs:
-                if proc.poll() is None:
-                    try:
-                        proc.wait(2.0)
-                    except subprocess.TimeoutExpired:
-                        proc.kill()
+                self._launcher.stop(proc)
             self.node.close()
 
     def __enter__(self):

@@ -133,12 +133,15 @@ def init_new_process(node: Optional[Node] = None,
                      timeout: Optional[float] = DEFAULT_TIMEOUT) -> Group:
     """Called by a spawned child: attach to the parent, merge as the high
     side, and return the combined group. Single use; the inter-group link is
-    consumed by the merge."""
+    consumed by the merge. A parent that sends no parent roster is the
+    driver, which is not a group member: the siblings alone are the group."""
     if node is not None and node.merged_with_parent:
         raise ProtocolError(
             "this node already merged with its parent; the inter-group "
             "is consumed")
     inter = attach_parent(node=node, ticket=ticket)
+    if not inter.remote_roster:
+        return inter.local_group
     try:
         group = merge(inter, high=True, timeout=timeout)
     except BaseException:

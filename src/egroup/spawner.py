@@ -319,47 +319,39 @@ def _abort_children(node, epoch, root_rank, launcher, handles, registered, exc):
             pass
 
 
-def register_with_parent(node: Node, ticket: BootstrapTicket,
-                         timeout: float = DEFAULT_REGISTRATION_TIMEOUT
-                         ) -> tuple:
-    """Register with the parent root the ticket names and wait for its reply.
-    Returns the channel the registration went out on and the child-side
-    InterGroup. A worker whose parent is the driver keeps that channel for
-    the driver's commands and takes the InterGroup's local group, its
-    siblings, as the epoch-0 group."""
-    # Adopt the parent's epoch before dialing so fencing on both ends agrees.
-    node.fencing.advance_to(ticket.parent_epoch)
-    channel = node.endpoint.connect(ticket.parent_address)
-    channel.send(Envelope(
-        epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REGISTER,
-        src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-        payload=wire.json_payload({
-            "child_index": ticket.child_index,
-            "descriptor": node.descriptor().to_json(),
-        })))
-    reply = node.endpoint.recv(match_fields(tag=wire.TAG_SPAWN_REPLY),
-                               timeout=timeout)
-    outcome = wire.parse_json_payload(unwrap_outcome(reply.payload))
-    siblings = tuple(MemberDescriptor.from_json(m) for m in outcome["children"])
-    parents = tuple(MemberDescriptor.from_json(m) for m in outcome["parents"])
-    local = node.make_group(ticket.parent_epoch, siblings, ticket.child_index)
-    return channel, InterGroup(local_group=local, remote_roster=parents,
-                               side=Side.CHILD,
-                               parent_root_rank=outcome["parent_root_rank"])
-
-
 def attach_parent(node: Optional[Node] = None,
                   ticket: Optional[BootstrapTicket] = None,
                   timeout: float = DEFAULT_REGISTRATION_TIMEOUT) -> InterGroup:
-    """Called by a spawned child: register with the parent root, receive both
-    rosters, and return the child-side InterGroup."""
+    """Called by a child: register with the parent root the ticket names,
+    receive both rosters, and return the child-side InterGroup. The driver,
+    as the parent of the workers it starts, sends no parent roster."""
     if ticket is None:
         ticket = BootstrapTicket.from_env()
     created = node is None
     if created:
         node = Node(host_label=ticket.host_label)
     try:
-        return register_with_parent(node, ticket, timeout)[1]
+        # Adopt the parent's epoch before dialing so fencing on both ends agrees.
+        node.fencing.advance_to(ticket.parent_epoch)
+        node.endpoint.connect(ticket.parent_address).send(Envelope(
+            epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REGISTER,
+            src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
+            payload=wire.json_payload({
+                "child_index": ticket.child_index,
+                "descriptor": node.descriptor().to_json(),
+            })))
+        reply = node.endpoint.recv(match_fields(tag=wire.TAG_SPAWN_REPLY),
+                                   timeout=timeout)
+        outcome = wire.parse_json_payload(unwrap_outcome(reply.payload))
+        siblings = tuple(MemberDescriptor.from_json(m)
+                         for m in outcome["children"])
+        parents = tuple(MemberDescriptor.from_json(m)
+                        for m in outcome["parents"])
+        local = node.make_group(ticket.parent_epoch, siblings,
+                                ticket.child_index)
+        return InterGroup(local_group=local, remote_roster=parents,
+                          side=Side.CHILD,
+                          parent_root_rank=outcome["parent_root_rank"])
     except BaseException:
         if created:
             node.close()

@@ -25,7 +25,6 @@ TAG_CONTROL = 0
 # Driver command protocol (reserved range 1-15).
 TAG_DRIVER_CMD = 1
 TAG_DRIVER_REPLY = 2
-TAG_DRIVER_HELLO = 5
 DRIVER_TAG_MAX = 15
 # First tag handed out by the per-epoch collective tag counters.
 TAG_COLL_BASE = 16

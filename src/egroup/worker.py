@@ -1,21 +1,19 @@
 """The reusable worker program.
 
-Every worker starts from the bootstrap ticket in its environment and
-registers with the parent the ticket names. Without ``--driver`` that parent
-is the driver, which launched the initial fleet: the worker takes its
-siblings as the epoch-0 group and hears the driver's commands on the channel
-it registered on. With ``--driver`` the worker was spawned into a running
-fleet: it merges with its parent, then introduces itself to the driver.
-Either way it then serves driver commands (barrier, allgather probes, scale
-events) until it is told to stop or a scale_in retires it.
+Every worker starts from the bootstrap ticket in its environment and joins
+through ``init_new_process``. A worker the driver launched takes its
+siblings as the epoch-0 group; a worker spawned into a running fleet merges
+with its parent. The driver reaches every worker by its descriptor, and the
+worker answers each command on the channel it came in on. It serves driver
+commands (barrier, allgather probes, scale events) until it is told to stop
+or a scale_in retires it. It takes no command-line arguments.
 
-Exit status: 0 after a stop command or retirement, 2 on a missing or
-malformed bootstrap ticket, 1 on unexpected failure.
+Exit status: 0 after a stop command or retirement, 2 on any argument or on
+a missing or malformed bootstrap ticket, 1 on unexpected failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import logging
 import os
 import sys
@@ -26,9 +24,8 @@ from . import wire
 from .collectives import allgather, barrier
 from .errors import EGroupError, NotSpawnedError, ProtocolError, error_fields
 from .groups import RetirementToken, roster_digest
-from .node import Node
 from .scaling import init_new_process, scale_in, scale_out
-from .spawner import BootstrapTicket, LocalProcessLauncher, register_with_parent
+from .spawner import BootstrapTicket, LocalProcessLauncher
 from .transport import match_fields
 from .wire import Envelope
 
@@ -37,35 +34,12 @@ log = logging.getLogger(__name__)
 # Wide enough for any incarnation id; allgather blocks must share one width.
 ID_BLOCK_WIDTH = 128
 
-DEFAULT_DRAIN_TIMEOUT = 5.0
+# Longest a retired worker lingers for straggling senders.
+DRAIN_TIMEOUT = 5.0
 
 # Fields a command must carry, by op; a command lacking one gets an error reply.
 REQUIRED_FIELDS = {"scale_out": ("num_add", "child_program"),
                    "scale_in": ("is_removing",)}
-
-
-def _bootstrap(ticket, driver_addr):
-    """Join the fleet; returns the node, the group and the driver channel."""
-    if driver_addr is None:
-        node = Node(host_label=ticket.host_label)
-        try:
-            channel, inter = register_with_parent(node, ticket)
-        except BaseException:
-            node.close()
-            raise
-        return node, inter.local_group, channel
-    group = init_new_process(ticket=ticket)
-    node = group.node
-    channel = node.endpoint.connect(driver_addr)
-    channel.send(Envelope(
-        epoch=group.epoch, tag=wire.TAG_DRIVER_HELLO,
-        src_rank=group.my_rank, dst_rank=wire.NO_RANK,
-        payload=wire.json_payload({
-            "descriptor": node.descriptor().to_json(),
-            "epoch": group.epoch,
-            "rank": group.my_rank,
-        })))
-    return node, group, channel
 
 
 def _reply(node, channel, seq, body):
@@ -78,10 +52,10 @@ def _reply(node, channel, seq, body):
         payload=wire.json_payload(payload)))
 
 
-def _drain_rejections(node, drain_timeout):
+def _drain_rejections(node):
     """Stay reachable briefly after retirement so straggling senders get
     stale rejections instead of connection failures."""
-    deadline = time.monotonic() + drain_timeout
+    deadline = time.monotonic() + DRAIN_TIMEOUT
     last = node.endpoint.stale_rejected_count
     quiet_since = time.monotonic()
     while time.monotonic() < deadline:
@@ -94,13 +68,16 @@ def _drain_rejections(node, drain_timeout):
             return
 
 
-def _serve(node, group, channel, drain_timeout):
-    """Execute driver commands until stop or retirement. Returns exit status."""
+def _serve(group):
+    """Execute driver commands until stop or retirement, answering each on
+    the channel it came in on. Returns the exit status."""
+    node = group.node
     # One launcher for every scale-out, so it can reap the children it
     # started in earlier ones.
     launcher = LocalProcessLauncher()
     while True:
-        cmd_env = node.endpoint.recv(match_fields(tag=wire.TAG_DRIVER_CMD))
+        cmd_env, channel = node.endpoint.recv_with_channel(
+            match_fields(tag=wire.TAG_DRIVER_CMD))
         try:
             cmd = wire.parse_json_payload(cmd_env.payload)
         except ProtocolError as exc:
@@ -151,20 +128,21 @@ def _serve(node, group, channel, drain_timeout):
 
             elif op == "scale_out":
                 phases = {}
+                size_before = len(group.roster)
                 start = time.perf_counter()
                 group = scale_out(
                     group, cmd["num_add"], cmd["child_program"],
                     cmd.get("host_labels"),
                     child_args=cmd.get("child_args", ()),
-                    launcher=launcher,
-                    registration_timeout=cmd.get("registration_timeout", 30.0),
-                    phases=phases)
+                    launcher=launcher, phases=phases)
                 total = time.perf_counter() - start
                 _reply(node, channel, seq, {
                     "ok": True, "total_s": total,
                     "spawn_s": phases.get("spawn_s", 0.0),
                     "epoch": group.epoch, "rank": group.my_rank,
                     "size": len(group.roster),
+                    "children": [m.to_json()
+                                 for m in group.roster[size_before:]],
                 })
 
             elif op == "scale_in":
@@ -178,7 +156,7 @@ def _serve(node, group, channel, drain_timeout):
                         "total_s": total,
                         "epoch": outcome.new_group.epoch,
                     })
-                    _drain_rejections(node, drain_timeout)
+                    _drain_rejections(node)
                     return 0
                 group = outcome.new_group
                 _reply(node, channel, seq, {
@@ -196,31 +174,26 @@ def _serve(node, group, channel, drain_timeout):
 
 
 def worker_main(argv=None, environ=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     environ = os.environ if environ is None else environ
-    parser = argparse.ArgumentParser(prog="egroup-worker")
-    parser.add_argument("--driver", default=None,
-                        help="driver address (host:port) of a worker spawned "
-                             "into a running fleet; without it the parent "
-                             "named by the bootstrap ticket is the driver")
-    parser.add_argument("--drain-timeout", type=float,
-                        default=DEFAULT_DRAIN_TIMEOUT,
-                        help="maximum seconds to linger after retirement")
-    args = parser.parse_args(argv)
-
+    if argv:
+        print(f"egroup-worker: takes no arguments, got {argv[0]!r}",
+              file=sys.stderr)
+        return 2
     try:
         ticket = BootstrapTicket.from_env(environ)
     except (NotSpawnedError, ValueError) as exc:
         print(f"egroup-worker: {exc}", file=sys.stderr)
         return 2
-    node, group, channel = _bootstrap(ticket, args.driver)
+    group = init_new_process(ticket=ticket)
 
     try:
-        status = _serve(node, group, channel, args.drain_timeout)
+        status = _serve(group)
     except Exception:
         traceback.print_exc()
         status = 1
     finally:
-        node.close()
+        group.node.close()
     return status
 
 

@@ -347,39 +347,43 @@ class TestMerge:
 
     def test_hello_from_a_stranger_fails_every_member(self):
         # Two parents spawn one child, which hand-sends a hello naming an id
-        # on neither roster; every member must fail at once, not time out.
-        child_outcomes = []
+        # on neither roster, or an id that is not a string; every member
+        # must fail at once, not time out.
+        for stranger in ("stranger", ["x"]):
+            child_outcomes = []
 
-        def child(env):
-            ticket = BootstrapTicket.from_env(env)
-            with Node(host_label=ticket.host_label) as node:
-                inter = attach_parent(node, ticket, timeout=30)
-                hello = {"id": "stranger", "side": Side.CHILD.value,
-                         "high": True, "epoch": 0}
-                node.send_to(inter.remote_roster[0], Envelope(
-                    epoch=0, tag=wire.TAG_MERGE_HELLO, src_rank=0,
-                    dst_rank=wire.NO_RANK, payload=wire.json_payload(hello)))
-                outcome = node.endpoint.recv(
-                    match_fields(tag=wire.TAG_MERGE_OUTCOME), timeout=30)
-                child_outcomes.append(outcome.payload)
+            def child(env):
+                ticket = BootstrapTicket.from_env(env)
+                with Node(host_label=ticket.host_label) as node:
+                    inter = attach_parent(node, ticket, timeout=30)
+                    hello = {"id": stranger, "side": Side.CHILD.value,
+                             "high": True, "epoch": 0}
+                    node.send_to(inter.remote_roster[0], Envelope(
+                        epoch=0, tag=wire.TAG_MERGE_HELLO, src_rank=0,
+                        dst_rank=wire.NO_RANK,
+                        payload=wire.json_payload(hello)))
+                    outcome = node.endpoint.recv(
+                        match_fields(tag=wire.TAG_MERGE_OUTCOME), timeout=30)
+                    child_outcomes.append(outcome.payload)
 
-        def parent(group):
-            launcher = ThreadLauncher(child) if group.my_rank == 0 else None
-            inter = spawn(group, 0, SpawnSpec(program="-", count=1),
-                          launcher=launcher)
-            start = time.monotonic()
+            def parent(group):
+                launcher = ThreadLauncher(child) if group.my_rank == 0 else None
+                inter = spawn(group, 0, SpawnSpec(program="-", count=1),
+                              launcher=launcher)
+                start = time.monotonic()
+                with pytest.raises(ProtocolError, match="unknown member"):
+                    merge(inter, high=False, timeout=3.0)
+                return time.monotonic() - start
+
+            with cluster(2) as parents:
+                elapsed = run_members(parent, parents)
+            assert elapsed[1] < 1.5, \
+                f"{stranger!r}: rank 1 took {elapsed[1]:.2f}s to fail"
+            deadline = time.monotonic() + 10
+            while not child_outcomes and time.monotonic() < deadline:
+                time.sleep(0.01)
             with pytest.raises(ProtocolError, match="unknown member"):
-                merge(inter, high=False, timeout=3.0)
-            return time.monotonic() - start
-
-        with cluster(2) as parents:
-            elapsed = run_members(parent, parents)
-        assert elapsed[1] < 1.5, f"rank 1 took {elapsed[1]:.2f}s to fail"
-        deadline = time.monotonic() + 10
-        while not child_outcomes and time.monotonic() < deadline:
-            time.sleep(0.01)
-        with pytest.raises(ProtocolError, match="unknown member"):
-            wire.unwrap_outcome(child_outcomes[0])
+                wire.unwrap_outcome(child_outcomes[0])
 
     def test_consumed_intergroup_rejected(self):
         with cluster(1) as parents, cluster(1) as children:

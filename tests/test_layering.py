@@ -1,5 +1,5 @@
 """Module boundaries: no egroup module reaches into another's private names,
-and only the spawner starts processes."""
+only the spawner starts processes, and every wire tag has a user."""
 
 import ast
 import pathlib
@@ -66,3 +66,40 @@ def test_check_sees_popen_calls(tmp_path):
                       "Popen(['y'])\n")
     assert list(popen_calls(sample)) == [
         "sample.py:3 calls Popen", "sample.py:4 calls Popen"]
+
+
+def unused_tags(wire_path, others):
+    """Yield each ``TAG_*`` constant defined in ``wire_path`` that no file
+    in ``others`` names."""
+    tree = ast.parse(wire_path.read_text(), filename=str(wire_path))
+    used = {node.attr if isinstance(node, ast.Attribute) else node.id
+            for path in others
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, (ast.Attribute, ast.Name))}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if (isinstance(target, ast.Name)
+                        and target.id.startswith("TAG_")
+                        and target.id not in used):
+                    yield f"{wire_path.name}:{node.lineno} defines unused {target.id}"
+
+
+def test_every_wire_tag_is_used():
+    others = [path for path in sorted(SRC.glob("*.py")) if path.name != "wire.py"]
+    assert list(unused_tags(SRC / "wire.py", others)) == []
+
+
+def test_check_sees_unused_tags(tmp_path):
+    wire_sample = tmp_path / "wire.py"
+    wire_sample.write_text("TAG_A = 1\n"
+                           "TAG_B = 2\n"
+                           "TAG_C = 3\n"
+                           "OTHER = 4\n")
+    user = tmp_path / "user.py"
+    user.write_text("from . import wire\n"
+                    "from .wire import TAG_B\n"
+                    "wire.TAG_A\n"
+                    "TAG_B\n")
+    assert list(unused_tags(wire_sample, [user])) == [
+        "wire.py:3 defines unused TAG_C"]

@@ -99,7 +99,7 @@ class TestFleet:
             target = drv.workers[1]
             # Valid JSON that is not an object, then invalid UTF-8.
             for payload in (b"[1, 2]", b"\xff"):
-                target.channel.send(Envelope(
+                drv.node.channel_to(target.member).send(Envelope(
                     epoch=target.epoch, tag=wire.TAG_DRIVER_CMD,
                     src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
                     payload=payload))
@@ -200,6 +200,11 @@ class TestFleetScaling:
             assert [h.member.host_label for h in drv.workers] == \
                 ["node0", "node0", "node1", "node1"]
 
+            # The driver dialed each child by its descriptor.
+            for child in drv.workers[2:]:
+                channel = drv.node.endpoint.channel_to(child.incarnation_id)
+                assert channel is not None and not channel.closed
+
             replies = drv.allgather_ids()
             fleet_ids = [h.incarnation_id for h in drv.workers]
             assert len(set(fleet_ids)) == 4
@@ -281,6 +286,17 @@ class TestWorkerExitCodes:
         proc = self.run_worker(env=env)
         assert proc.returncode == 2
         assert ENV_CHILD_INDEX in proc.stderr
+
+    def test_any_argument_is_usage_error(self):
+        env = clean_env()
+        env[ENV_PARENT_ADDR] = "127.0.0.1:1"
+        env[ENV_PARENT_EPOCH] = "0"
+        env[ENV_CHILD_INDEX] = "0"
+        env[ENV_HOST_LABEL] = "node0"
+        env[ENV_CHILD_COUNT] = "1"
+        proc = self.run_worker(["--driver", "127.0.0.1:1"], env=env)
+        assert proc.returncode == 2
+        assert "--driver" in proc.stderr
 
     def test_missing_world_size_is_usage_error(self):
         env = clean_env()
