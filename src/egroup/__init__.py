@@ -14,9 +14,10 @@ __version__ = "0.1.0"
 
 # The public names each submodule defines.
 _SUBMODULE_EXPORTS = {
-    "errors": ("ConnectError", "DeliveryError", "EGroupError", "FencingError",
-               "NotSpawnedError", "ProtocolError", "RetiredGroupError",
-               "SetupError", "ShutdownError", "SpawnError"),
+    "errors": ("ConnectError", "DeadlineExceeded", "DeliveryError",
+               "EGroupError", "FencingError", "NotSpawnedError",
+               "ProtocolError", "RetiredGroupError", "SetupError",
+               "ShutdownError", "SpawnError"),
     "groups": ("Group", "InterGroup", "MemberDescriptor", "RetirementToken",
                "Side", "roster_digest"),
     "wire": ("Envelope",),

@@ -130,7 +130,7 @@ def _trial(scenario, config, delta, trial, log) -> BenchRecord:
             else:
                 reply = driver.scale_in(delta)
             driver.stop_all()
-    except (EGroupError, TimeoutError, OSError) as exc:
+    except (EGroupError, OSError) as exc:
         if log is not None:
             print(f"{scenario} delta={delta} trial={trial} failed: {exc}",
                   file=log)

@@ -14,14 +14,13 @@ concurrent operations from colliding.
 from __future__ import annotations
 
 import struct
-import time
 from typing import Optional, Union
 
 from . import wire
-from .errors import ProtocolError
+from .errors import DeadlineExceeded, ProtocolError
 from .groups import Group, InterGroup, RetirementToken, Side
 from .transport import match_fields
-from .wire import Envelope, error_outcome, ok_outcome, unwrap_outcome
+from .wire import Deadline, Envelope, error_outcome, ok_outcome, unwrap_outcome
 
 DEFAULT_TIMEOUT = 120.0
 
@@ -80,8 +79,10 @@ def broadcast(group: Group, root: int, payload: bytes,
 def allgather(group: Group, block: bytes,
               timeout: Optional[float] = DEFAULT_TIMEOUT) -> bytes:
     """Gather one fixed-width block per member; every member returns the
-    rank-ordered concatenation. All members must supply the same width."""
+    rank-ordered concatenation. All members must supply the same width.
+    If rank 0's deadline passes first, every member raises DeadlineExceeded."""
     node = _node_of(group)
+    deadline = Deadline.of(timeout)
     tag_gather = node.next_collective_tag(group.epoch)
     tag_publish = node.next_collective_tag(group.epoch)
     block = bytes(block)
@@ -91,20 +92,23 @@ def allgather(group: Group, block: bytes,
 
     if group.my_rank != 0:
         node.send(group, 0, tag_gather, block)
-        reply = node.recv_on(group, tag_publish, src_rank=0, timeout=timeout)
+        reply = node.recv_on(group, tag_publish, src_rank=0,
+                             timeout=deadline.for_outcome())
         return unwrap_outcome(reply.payload)
 
     blocks = [block] + [b""] * (n - 1)
-    for src in range(1, n):
-        blocks[src] = node.recv_on(group, tag_gather, src_rank=src,
-                                   timeout=timeout).payload
-    widths = {len(b) for b in blocks}
-    if len(widths) != 1:
-        exc = ProtocolError(
-            f"allgather width disagreement: saw block sizes {sorted(widths)}")
+    try:
+        for src in range(1, n):
+            blocks[src] = node.recv_on(group, tag_gather, src_rank=src,
+                                       timeout=deadline).payload
+        widths = {len(b) for b in blocks}
+        if len(widths) != 1:
+            raise ProtocolError(
+                f"allgather width disagreement: saw block sizes {sorted(widths)}")
+    except (DeadlineExceeded, ProtocolError) as exc:
         for dst in range(1, n):
             node.send(group, dst, tag_publish, error_outcome(exc))
-        raise exc
+        raise
     result = b"".join(blocks)
     for dst in range(1, n):
         node.send(group, dst, tag_publish, ok_outcome(result))
@@ -165,11 +169,7 @@ def merge(inter: InterGroup, high: bool,
         raise ProtocolError("inter-group already consumed by a previous merge")
     inter.consumed = True
     node = _node_of(inter.local_group)
-    deadline = time.monotonic() + (timeout if timeout is not None else 0)
-
-    def remaining():
-        return None if timeout is None else max(0.01, deadline - time.monotonic())
-
+    deadline = Deadline.of(timeout)
     local = inter.local_group
     if inter.side is Side.PARENT:
         coordinator = local.member(inter.parent_root_rank)
@@ -181,13 +181,14 @@ def merge(inter: InterGroup, high: bool,
     hello = wire.json_payload({"id": node.incarnation_id, "side": inter.side.value,
                                "high": high, "epoch": local.epoch})
     if i_coordinate:
-        epoch = _coordinate_merge(node, inter, hello, remaining)
+        epoch = _coordinate_merge(node, inter, hello, deadline)
     else:
         node.send_to(coordinator, Envelope(
             epoch=local.epoch, tag=wire.TAG_MERGE_HELLO,
             src_rank=local.my_rank, dst_rank=wire.NO_RANK, payload=hello))
         outcome = node.endpoint.recv(
-            match_fields(tag=wire.TAG_MERGE_OUTCOME), timeout=remaining())
+            match_fields(tag=wire.TAG_MERGE_OUTCOME),
+            timeout=deadline.for_outcome())
         epoch = wire.parse_json_payload(unwrap_outcome(outcome.payload))["epoch"]
 
     # The low side comes first; both rosters are already known here.
@@ -195,33 +196,32 @@ def merge(inter: InterGroup, high: bool,
     new_group = node.make_group(
         epoch, rosters[high] + rosters[not high],
         local.my_rank + (len(inter.remote_roster) if high else 0))
-    _establish_mesh(node, new_group, remaining)
+    _establish_mesh(node, new_group, deadline)
     return new_group
 
 
 def _coordinate_merge(node, inter: InterGroup, own_hello: bytes,
-                      remaining) -> int:
+                      deadline: Deadline) -> int:
     """Run by the parent-side root: gather one hello per member on both
     sides, validate them, and publish one outcome to every other member: the
-    merged epoch, or the error. Returns the merged epoch."""
-    if inter.side is not Side.PARENT:
-        raise ProtocolError("merge coordinator must sit on the parent side")
+    merged epoch, or the error (a bad hello, or the deadline passing).
+    Returns the merged epoch."""
     sides = {Side.PARENT.value: inter.local_group.roster,
              Side.CHILD.value: inter.remote_roster}
     by_id = {m.incarnation_id: m for members in sides.values() for m in members}
     hellos = {node.incarnation_id: wire.parse_json_payload(own_hello)}
-    error = None
-    while error is None and len(hellos) < len(by_id):
-        env = node.endpoint.recv(match_fields(tag=wire.TAG_MERGE_HELLO),
-                                 timeout=remaining())
-        msg = wire.parse_json_payload(env.payload)
-        if isinstance(msg.get("id"), str) and msg["id"] in by_id:
+    try:
+        while len(hellos) < len(by_id):
+            env = node.endpoint.recv(match_fields(tag=wire.TAG_MERGE_HELLO),
+                                     timeout=deadline)
+            msg = wire.parse_json_payload(env.payload)
+            if not (isinstance(msg.get("id"), str) and msg["id"] in by_id):
+                raise ProtocolError(
+                    f"merge hello from unknown member {msg.get('id')!r}")
             hellos[msg["id"]] = msg
-        else:
-            error = ProtocolError(
-                f"merge hello from unknown member {msg.get('id')!r}")
-
-    error = error or _check_hellos(sides, hellos)
+        error = _check_hellos(sides, hellos)
+    except (DeadlineExceeded, ProtocolError) as exc:
+        error = exc
     new_epoch = 1 + max(h["epoch"] for h in hellos.values()
                         if type(h.get("epoch")) is int)
     payload = (ok_outcome(wire.json_payload({"epoch": new_epoch}))
@@ -256,18 +256,15 @@ def _check_hellos(sides: dict, hellos: dict) -> Optional[ProtocolError]:
     return None
 
 
-def _establish_mesh(node, group: Group, remaining) -> None:
+def _establish_mesh(node, group: Group, deadline: Deadline) -> None:
     # Lower incarnation id dials, higher side accepts; afterwards this member
     # holds one live channel to every other member.
     for member in group.roster:
         if member.incarnation_id == node.incarnation_id:
             continue
         if node.incarnation_id < member.incarnation_id:
-            node.channel_to(member)
-        else:
-            got = node.endpoint.await_channel(member.incarnation_id,
-                                              remaining() or DEFAULT_TIMEOUT)
-            if got is None:
-                raise TimeoutError(
-                    f"no inbound channel from {member.incarnation_id} "
-                    "while wiring the merged group")
+            node.channel_to(member, deadline)
+        elif node.endpoint.await_channel(member.incarnation_id, deadline) is None:
+            raise DeadlineExceeded(
+                f"no inbound channel from {member.incarnation_id} "
+                "while wiring the merged group")

@@ -15,22 +15,20 @@ from __future__ import annotations
 import logging
 import subprocess
 import sys
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 from . import wire
-from .errors import EGroupError, ProtocolError, error_from_fields
+from .collectives import DEFAULT_TIMEOUT
+from .errors import DeadlineExceeded, EGroupError, ProtocolError, error_from_fields
 from .groups import MemberDescriptor
 from .node import Node
 from .spawner import LocalProcessLauncher, SpawnSpec, launch_and_register
 from .transport import match_fields
-from .wire import Envelope
+from .wire import Deadline, Envelope
 
 log = logging.getLogger(__name__)
 
-DEFAULT_COMMAND_TIMEOUT = 120.0
-DEFAULT_STARTUP_TIMEOUT = 60.0
 # How long close() lets workers that acknowledged stop exit on their own.
 STOP_GRACE = 2.0
 
@@ -71,17 +69,17 @@ class CommandFailure(EGroupError):
 
 
 class Driver:
-    """Launches and scripts a worker fleet; one instance per fleet."""
+    """Launches and scripts a worker fleet; one instance per fleet.
+
+    ``timeout`` bounds start_fleet and each command that is not given its
+    own; a command hands the seconds it has left to the workers, so their
+    collectives end when the driver stops waiting."""
 
     def __init__(self, worker_command=None, slots_per_host: int = 32,
-                 startup_timeout: float = DEFAULT_STARTUP_TIMEOUT,
-                 command_timeout: float = DEFAULT_COMMAND_TIMEOUT,
-                 stderr=None):
+                 timeout: Optional[float] = DEFAULT_TIMEOUT, stderr=None):
         self.worker_command = list(worker_command or default_worker_command())
         self.slots_per_host = slots_per_host
-        self.startup_timeout = startup_timeout
-        self.command_timeout = command_timeout
-        self.stderr = stderr
+        self.timeout = timeout
         self.node = Node(host_label="driver")
         self.workers = []
         self.epoch = 0
@@ -111,12 +109,10 @@ class Driver:
             host_labels=[host_label_for_slot(i, self.slots_per_host)
                          for i in range(initial)])
         members = launch_and_register(self.node, spec, self._launcher,
-                                      self.startup_timeout,
-                                      handles=self._procs)
-        procs = self._procs[-initial:]
+                                      self.timeout, handles=self._procs)
         self.workers = [
-            WorkerHandle(member=member, rank=index, epoch=0, proc=procs[index])
-            for index, member in enumerate(members)]
+            WorkerHandle(member=member, rank=index, epoch=0, proc=proc)
+            for index, (member, proc) in enumerate(zip(members, self._procs[-initial:]))]
         self.epoch = 0
 
     # -- command plumbing ------------------------------------------------------
@@ -126,13 +122,10 @@ class Driver:
         return self._seq
 
     def _send_command(self, handle: WorkerHandle, seq: int, op: str, **params):
-        payload = dict(params)
-        payload["op"] = op
-        payload["seq"] = seq
         self.node.send_to(handle.member, Envelope(
             epoch=max(handle.epoch, 0), tag=wire.TAG_DRIVER_CMD,
             src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-            payload=wire.json_payload(payload)))
+            payload=wire.json_payload({**params, "op": op, "seq": seq})))
 
     def _answers(self, msg: dict, seq: int) -> bool:
         """Whether ``msg`` is a reply to command ``seq``. A reply to an
@@ -149,30 +142,32 @@ class Driver:
             f"reply for command {got!r}, which was never sent "
             f"(waiting on {seq})")
 
-    def _collect_replies(self, seq: int, count: int,
-                         timeout: Optional[float] = None) -> dict:
-        """Gather ``count`` replies for ``seq``, keyed by incarnation id."""
-        timeout = timeout if timeout is not None else self.command_timeout
-        deadline = time.monotonic() + timeout
-        replies = {}
-        while len(replies) < count:
-            env = self.node.endpoint.recv(
-                match_fields(tag=wire.TAG_DRIVER_REPLY),
-                timeout=max(0.05, deadline - time.monotonic()))
-            msg = wire.parse_json_payload(env.payload)
-            if self._answers(msg, seq):
-                replies[msg["id"]] = msg
-        return replies
+    def _deadline(self, timeout) -> Deadline:
+        return Deadline.of(self.timeout if timeout is None else timeout)
 
     def _command(self, handles: list, op: str, per_worker_params=None,
-                 timeout: Optional[float] = None, **params) -> dict:
-        """Send one command to each of ``handles`` and wait for every reply;
-        raises CommandFailure for the first one that reports an error."""
+                 timeout=None, **params) -> dict:
+        """Send one command to each of ``handles`` and wait for every reply,
+        keyed by incarnation id; raises CommandFailure for the first one
+        that reports an error. ``timeout`` is seconds or a Deadline; the
+        command carries the seconds left, and replies are awaited
+        OUTCOME_SLACK longer, for workers that give up at the deadline."""
+        deadline = self._deadline(timeout)
+        if deadline.expired():
+            raise DeadlineExceeded(f"deadline passed before sending {op!r}")
+        if deadline.at is not None:
+            params["timeout"] = deadline.remaining()
         seq = self._next_seq()
         for handle in handles:
             extra = (per_worker_params or {}).get(handle.incarnation_id, {})
-            self._send_command(handle, seq, op, **params, **extra)
-        replies = self._collect_replies(seq, len(handles), timeout)
+            self._send_command(handle, seq, op, **{**params, **extra})
+        wait, replies = deadline.for_outcome(), {}
+        while len(replies) < len(handles):
+            env = self.node.endpoint.recv(
+                match_fields(tag=wire.TAG_DRIVER_REPLY), wait)
+            msg = wire.parse_json_payload(env.payload)
+            if self._answers(msg, seq):
+                replies[msg["id"]] = msg
         for handle in handles:
             msg = replies.get(handle.incarnation_id)
             if msg is not None and not msg.get("ok", False):
@@ -205,13 +200,15 @@ class Driver:
     def scale_out(self, delta: int, timeout: Optional[float] = None) -> dict:
         """Grow the fleet by ``delta`` spawned children; returns the rank-0
         worker's timing reply once every child has answered the driver at
-        its expected rank and epoch."""
+        its expected rank and epoch. One deadline covers the command and the
+        children's pings."""
         if delta < 1:
             raise ValueError(f"delta must be positive, got {delta}")
+        deadline = self._deadline(timeout)
         labels = [host_label_for_slot(self.size + j, self.slots_per_host)
                   for j in range(delta)]
         replies = self.command_all(
-            "scale_out", timeout=timeout, num_add=delta,
+            "scale_out", timeout=deadline, num_add=delta,
             child_program=self.worker_command[0],
             child_args=self.worker_command[1:], host_labels=labels)
 
@@ -228,7 +225,7 @@ class Driver:
             raise ProtocolError(
                 f"scale_out by {delta} reported {len(children)} children")
         # The first command to a child dials it by its descriptor.
-        pongs = self._command(children, "ping", timeout=timeout)
+        pongs = self._command(children, "ping", timeout=deadline)
         for handle in children:
             self._check_position(handle, pongs[handle.incarnation_id])
         self.workers.extend(children)
@@ -258,17 +255,14 @@ class Driver:
 
         removed = [h for h in self.workers if h.rank >= cutoff]
         remaining = [h for h in self.workers if h.rank < cutoff]
+        for handle in self.workers:
+            msg = replies[handle.incarnation_id]
+            if bool(msg.get("retired")) != (handle.rank >= cutoff):
+                raise ProtocolError(f"worker rank {handle.rank} answered "
+                                    f"retired={msg.get('retired')!r}")
         for handle in remaining:
             msg = replies[handle.incarnation_id]
-            if msg.get("retired"):
-                raise ProtocolError(
-                    f"worker rank {handle.rank} retired unexpectedly")
-            handle.rank = msg["rank"]
-            handle.epoch = msg["epoch"]
-        for handle in removed:
-            if not replies[handle.incarnation_id].get("retired"):
-                raise ProtocolError(
-                    f"worker rank {handle.rank} did not retire")
+            handle.rank, handle.epoch = msg["rank"], msg["epoch"]
         self.workers = sorted(remaining, key=lambda h: h.rank)
         self.epoch += 1
         reply = dict(replies[self.workers[0].incarnation_id])
@@ -281,13 +275,12 @@ class Driver:
         """Wait for worker processes to exit; returns {pid: returncode}."""
         procs = [h.proc for h in (handles or [])] if handles else self._procs
         results = {}
-        deadline = time.monotonic() + timeout
+        deadline = Deadline.of(timeout)
         for proc in procs:
             if proc is None:
                 continue
             try:
-                results[proc.pid] = proc.wait(
-                    max(0.05, deadline - time.monotonic()))
+                results[proc.pid] = proc.wait(deadline.remaining())
             except subprocess.TimeoutExpired:
                 results[proc.pid] = None
         return results
@@ -303,7 +296,7 @@ class Driver:
         stopping = list(self.workers)
         try:
             self.stop_all()
-        except (EGroupError, TimeoutError):
+        except EGroupError:
             stopping = []
         finally:
             if stopping:

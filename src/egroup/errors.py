@@ -46,6 +46,10 @@ class ShutdownError(EGroupError):
     """The local endpoint was closed while an operation was waiting on it."""
 
 
+class DeadlineExceeded(EGroupError, TimeoutError):
+    """A call's deadline passed, here or at the root that gave up on it."""
+
+
 # Wire-level error outcomes name the exception class so the receiving side can
 # re-raise the same type.
 _BY_NAME = {
@@ -61,6 +65,7 @@ _BY_NAME = {
         SpawnError,
         NotSpawnedError,
         ShutdownError,
+        DeadlineExceeded,
     )
 }
 

@@ -15,7 +15,7 @@ from typing import Optional
 from . import wire
 from .errors import DeliveryError, FencingError, RetiredGroupError
 from .groups import Group, MemberDescriptor, new_incarnation_id
-from .transport import Endpoint, FencingState, match_fields
+from .transport import HANDSHAKE_TIMEOUT, Endpoint, FencingState, match_fields
 from .wire import Envelope
 
 DEFAULT_BIND = "127.0.0.1:0"
@@ -49,28 +49,25 @@ class Node:
 
     # -- groups ----------------------------------------------------------------
 
-    def register_group(self, group: Group) -> Group:
-        """Bind a group to this node and advance the epoch fence past it."""
-        if group.roster[group.my_rank].incarnation_id != self.incarnation_id:
-            raise ValueError("my_rank does not point at this node's descriptor")
-        bound = Group(group.epoch, group.roster, group.my_rank, node=self)
-        self.fencing.advance_to(group.epoch)
-        self.endpoint.purge_stale()
-        return bound
-
     def make_group(self, epoch: int, roster, my_rank: int) -> Group:
-        return self.register_group(Group(epoch=epoch, roster=tuple(roster),
-                                         my_rank=my_rank))
+        """A group bound to this node; advances the epoch fence past it."""
+        group = Group(epoch, tuple(roster), my_rank, node=self)
+        if group.descriptor().incarnation_id != self.incarnation_id:
+            raise ValueError("my_rank does not point at this node's descriptor")
+        self.fencing.advance_to(epoch)
+        self.endpoint.purge_stale()
+        return group
 
     # -- messaging -------------------------------------------------------------
 
-    def channel_to(self, member: MemberDescriptor):
-        """Reuse or open the single live channel to ``member``."""
+    def channel_to(self, member: MemberDescriptor, timeout=HANDSHAKE_TIMEOUT):
+        """Reuse or open the live channel to ``member``; ``timeout`` bounds a dial."""
         channel = self.endpoint.channel_to(member.incarnation_id)
         if channel is not None and not channel.closed:
             return channel
         return self.endpoint.connect(member.listen_address,
-                                     expect_id=member.incarnation_id)
+                                     expect_id=member.incarnation_id,
+                                     timeout=timeout)
 
     def send_to(self, member: MemberDescriptor, envelope: Envelope) -> None:
         """Send outside any group context (bootstrap, merge control)."""

@@ -31,14 +31,13 @@ from .groups import (
 )
 from .node import Node
 from .spawner import (
-    DEFAULT_REGISTRATION_TIMEOUT,
     BootstrapTicket,
     Launcher,
     SpawnSpec,
     attach_parent,
     spawn,
 )
-from .wire import Value
+from .wire import Deadline, Value
 
 
 class HostOccupancy(Value):
@@ -102,26 +101,26 @@ def host_can_terminate(occupancy: HostOccupancy, my_host: str) -> bool:
 def scale_out(old_group: Group, num_add: int, child_program: str,
               host_labels=None, *, child_args=(),
               launcher: Optional[Launcher] = None,
-              registration_timeout: float = DEFAULT_REGISTRATION_TIMEOUT,
               timeout: Optional[float] = DEFAULT_TIMEOUT,
               phases: Optional[dict] = None) -> Group:
     """Grow the group by ``num_add`` spawned children; originals keep their
     ranks, children follow at ranks size..size+num_add-1.
 
-    On any error the old group is left usable. When ``phases`` is given it
-    receives the local total_s and spawn_s wall-clock durations.
+    One deadline bounds the barrier, the spawn and the merge. On any error
+    the old group is left usable. When ``phases`` is given it receives the
+    local total_s and spawn_s wall-clock durations.
     """
     if num_add < 1:
         raise ValueError(f"num_add must be positive, got {num_add}")
     spec = SpawnSpec(program=child_program, args=tuple(child_args),
                      count=num_add,
                      host_labels=tuple(host_labels) if host_labels else None)
-    barrier(old_group, timeout=timeout)
+    deadline = Deadline.of(timeout)
+    barrier(old_group, timeout=deadline)
     start = time.perf_counter()
-    inter = spawn(old_group, 0, spec, launcher=launcher,
-                  registration_timeout=registration_timeout)
+    inter = spawn(old_group, 0, spec, launcher=launcher, timeout=deadline)
     spawn_s = time.perf_counter() - start
-    new_group = merge(inter, high=False, timeout=timeout)
+    new_group = merge(inter, high=False, timeout=deadline)
     if phases is not None:
         phases["total_s"] = time.perf_counter() - start
         phases["spawn_s"] = spawn_s
@@ -134,16 +133,18 @@ def init_new_process(node: Optional[Node] = None,
     """Called by a spawned child: attach to the parent, merge as the high
     side, and return the combined group. Single use; the inter-group link is
     consumed by the merge. A parent that sends no parent roster is the
-    driver, which is not a group member: the siblings alone are the group."""
+    driver, which is not a group member: the siblings alone are the group.
+    One deadline bounds the attach and the merge."""
     if node is not None and node.merged_with_parent:
         raise ProtocolError(
             "this node already merged with its parent; the inter-group "
             "is consumed")
-    inter = attach_parent(node=node, ticket=ticket)
+    deadline = Deadline.of(timeout)
+    inter = attach_parent(node=node, ticket=ticket, timeout=deadline)
     if not inter.remote_roster:
         return inter.local_group
     try:
-        group = merge(inter, high=True, timeout=timeout)
+        group = merge(inter, high=True, timeout=deadline)
     except BaseException:
         if node is None:  # attach_parent made this node; nobody else can close it
             inter.local_group.node.close()
@@ -163,16 +164,17 @@ def scale_in(old_group: Group, is_removing: bool,
     always see False. If every member removes itself, all receive tokens and
     no successor group exists.
     """
+    deadline = Deadline.of(timeout)
     my_label = old_group.descriptor().host_label
     block = SENTINEL_BLOCK if is_removing else pad_label(my_label)
-    gathered = allgather(old_group, block, timeout=timeout)
+    gathered = allgather(old_group, block, timeout=deadline)
     occupancy = HostOccupancy(width=HOST_LABEL_WIDTH, blocks=gathered)
     can_terminate = host_can_terminate(occupancy, my_label)
 
     outcome = split(old_group,
                     SplitKey(color=1 if is_removing else 0,
                              key=old_group.my_rank),
-                    retiring_color=1, timeout=timeout)
+                    retiring_color=1, timeout=deadline)
     if is_removing:
         node = old_group.node
         old_group.retire()

@@ -14,16 +14,15 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-import time
 from typing import Optional
 
 from . import wire
-from .collectives import allgather, broadcast
-from .errors import NotSpawnedError, ProtocolError, SpawnError
+from .collectives import DEFAULT_TIMEOUT, allgather, broadcast
+from .errors import DeadlineExceeded, NotSpawnedError, ProtocolError, SpawnError
 from .groups import Group, InterGroup, MemberDescriptor, Side
 from .node import Node
 from .transport import match_fields
-from .wire import Envelope, error_outcome, ok_outcome, unwrap_outcome
+from .wire import Deadline, Envelope, error_outcome, ok_outcome, unwrap_outcome
 
 ENV_PARENT_ADDR = "EG_PARENT_ADDR"
 ENV_PARENT_EPOCH = "EG_PARENT_EPOCH"
@@ -31,8 +30,6 @@ ENV_CHILD_INDEX = "EG_CHILD_INDEX"
 ENV_HOST_LABEL = "EG_HOST_LABEL"
 ENV_CHILD_COUNT = "EG_CHILD_COUNT"
 ENV_PREFIX = "EG_"
-
-DEFAULT_REGISTRATION_TIMEOUT = 30.0
 
 
 class SpawnSpec(wire.Value):
@@ -200,13 +197,13 @@ class ThreadLauncher(Launcher):
 
 def spawn(group: Group, root: int, spec: SpawnSpec,
           launcher: Optional[Launcher] = None,
-          registration_timeout: float = DEFAULT_REGISTRATION_TIMEOUT,
-          ) -> InterGroup:
+          timeout: Optional[float] = DEFAULT_TIMEOUT) -> InterGroup:
     """Collectively create ``spec.count`` children from ``root``.
 
     Either every child registers and all members return an InterGroup whose
     remote roster lists the children in child_index order, or the whole
-    operation fails with a spawn error; never a partial inter-group.
+    operation fails with a spawn error; never a partial inter-group. One
+    deadline bounds the whole call, the children's registration included.
     """
     node = group.node
     if node is None:
@@ -214,34 +211,34 @@ def spawn(group: Group, root: int, spec: SpawnSpec,
     if not (0 <= root < len(group.roster)):
         raise ValueError(f"root {root} out of range for group of {len(group.roster)}")
 
-    digests = allgather(group, spec.digest(root))
+    deadline = Deadline.of(timeout)
+    digests = allgather(group, spec.digest(root), timeout=deadline)
     width = hashlib.sha256().digest_size
     if any(digests[i:i + width] != digests[:width]
            for i in range(0, len(digests), width)):
         raise ProtocolError("spawn arguments differ across members")
 
     if group.my_rank != root:
-        outcome = wire.parse_json_payload(unwrap_outcome(broadcast(group, root, b"")))
+        outcome = wire.parse_json_payload(unwrap_outcome(
+            broadcast(group, root, b"", timeout=deadline.for_outcome())))
         remote = tuple(MemberDescriptor.from_json(m) for m in outcome["children"])
-        return InterGroup(local_group=group, remote_roster=remote,
-                          side=Side.PARENT, parent_root_rank=root)
-
-    launcher = launcher if launcher is not None else LocalProcessLauncher()
-    try:
-        remote = launch_and_register(
-            node, spec, launcher, registration_timeout, handles=[],
-            epoch=group.epoch, parents=group.roster, root_rank=group.my_rank)
-    except Exception as exc:
-        broadcast(group, root, error_outcome(exc))
-        raise
-    broadcast(group, root, ok_outcome(wire.json_payload(
-        {"children": [m.to_json() for m in remote]})))
+    else:
+        launcher = launcher if launcher is not None else LocalProcessLauncher()
+        try:
+            remote = launch_and_register(
+                node, spec, launcher, deadline, handles=[],
+                epoch=group.epoch, parents=group.roster, root_rank=group.my_rank)
+        except Exception as exc:
+            broadcast(group, root, error_outcome(exc))
+            raise
+        broadcast(group, root, ok_outcome(wire.json_payload(
+            {"children": [m.to_json() for m in remote]})))
     return InterGroup(local_group=group, remote_roster=remote,
                       side=Side.PARENT, parent_root_rank=root)
 
 
 def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,
-                        timeout: float, *, handles: list, epoch: int = 0,
+                        timeout, *, handles: list, epoch: int = 0,
                         parents: tuple = (), root_rank: int = wire.NO_RANK,
                         ) -> tuple:
     """Launch ``spec.count`` children whose tickets name ``node`` at
@@ -252,9 +249,10 @@ def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,
     Every launcher handle is appended to ``handles`` as it starts. On any
     failure the children that registered get the error, every launched child
     is stopped, and the error propagates: a SpawnError naming the missing
-    child_index values once ``timeout`` passes, a ProtocolError on a bad or
-    repeated registration.
+    child_index values once ``timeout`` (seconds or a Deadline) passes, a
+    ProtocolError on a bad or repeated registration.
     """
+    deadline = Deadline.of(timeout)
     registered = {}
     try:
         for index in range(spec.count):
@@ -267,16 +265,14 @@ def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,
             )
             handles.append(launcher.launch(spec, index, ticket.to_env()))
 
-        deadline = time.monotonic() + timeout
         while len(registered) < spec.count:
             try:
                 env = node.endpoint.recv(
-                    match_fields(tag=wire.TAG_SPAWN_REGISTER),
-                    timeout=max(0.05, deadline - time.monotonic()))
-            except TimeoutError:
+                    match_fields(tag=wire.TAG_SPAWN_REGISTER), deadline)
+            except DeadlineExceeded:
                 missing = sorted(set(range(spec.count)) - set(registered))
                 raise SpawnError(
-                    f"children failed to register within {timeout:.0f}s: "
+                    "children failed to register before the deadline: "
                     f"missing child_index values {missing}") from None
             msg = wire.parse_json_payload(env.payload)
             index = msg.get("child_index")
@@ -321,10 +317,11 @@ def _abort_children(node, epoch, root_rank, launcher, handles, registered, exc):
 
 def attach_parent(node: Optional[Node] = None,
                   ticket: Optional[BootstrapTicket] = None,
-                  timeout: float = DEFAULT_REGISTRATION_TIMEOUT) -> InterGroup:
+                  timeout: Optional[float] = DEFAULT_TIMEOUT) -> InterGroup:
     """Called by a child: register with the parent root the ticket names,
     receive both rosters, and return the child-side InterGroup. The driver,
     as the parent of the workers it starts, sends no parent roster."""
+    deadline = Deadline.of(timeout)
     if ticket is None:
         ticket = BootstrapTicket.from_env()
     created = node is None
@@ -341,7 +338,7 @@ def attach_parent(node: Optional[Node] = None,
                 "descriptor": node.descriptor().to_json(),
             })))
         reply = node.endpoint.recv(match_fields(tag=wire.TAG_SPAWN_REPLY),
-                                   timeout=timeout)
+                                   deadline.for_outcome())
         outcome = wire.parse_json_payload(unwrap_outcome(reply.payload))
         siblings = tuple(MemberDescriptor.from_json(m)
                          for m in outcome["children"])

@@ -19,25 +19,24 @@ import logging
 import selectors
 import socket
 import threading
-import time
 from collections import deque
 from typing import Callable, Optional
 
 from . import wire
 from .errors import (
     ConnectError,
+    DeadlineExceeded,
     DeliveryError,
     FencingError,
     ProtocolError,
     SetupError,
     ShutdownError,
 )
-from .wire import Envelope
+from .wire import Deadline, Envelope
 
 log = logging.getLogger(__name__)
 
 HANDSHAKE_TIMEOUT = 10.0
-CONNECT_TIMEOUT = 10.0
 RECV_BYTES = 64 * 1024
 
 
@@ -197,21 +196,24 @@ class Endpoint:
     # -- connection management -------------------------------------------------
 
     def connect(self, address: str, self_id: Optional[str] = None,
-                expect_id: Optional[str] = None) -> Channel:
+                expect_id: Optional[str] = None,
+                timeout=HANDSHAKE_TIMEOUT) -> Channel:
         """Open (or reuse) a channel to the endpoint listening at ``address``.
 
         The handshake exchanges incarnation ids and current epochs; if the
         peer already holds a live channel for this pair, the duplicate is
         collapsed deterministically and the surviving channel is returned.
+        ``timeout`` (seconds or a Deadline) bounds the dial and handshake.
         """
         self_id = self_id if self_id is not None else self.identity
         epoch = self.fencing.current
+        deadline = Deadline.of(timeout)
         try:
-            sock = socket.create_connection(parse_address(address), CONNECT_TIMEOUT)
+            sock = socket.create_connection(parse_address(address), deadline.remaining())
         except OSError as exc:
             raise ConnectError(f"cannot reach {address}: {exc}") from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(HANDSHAKE_TIMEOUT)
+        sock.settimeout(deadline.remaining())
         try:
             sock.sendall(wire.pack(_control(
                 "hello", max(epoch, 0), incarnation_id=self_id, epoch=epoch)))
@@ -224,7 +226,7 @@ class Endpoint:
             sock.close()
         if kind == "hello_reject":
             if msg.get("reason") == "duplicate":
-                survivor = self.await_channel(peer_id, HANDSHAKE_TIMEOUT)
+                survivor = self.await_channel(peer_id, deadline)
                 if survivor is not None:
                     return survivor
                 raise ConnectError(f"duplicate connect to {address} and no surviving channel")
@@ -246,12 +248,12 @@ class Endpoint:
         with self._lock:
             return self.channels.get(peer_id)
 
-    def await_channel(self, peer_id: str, timeout: float) -> Optional[Channel]:
-        """Wait for a live channel to ``peer_id`` to appear (peer-initiated)."""
+    def await_channel(self, peer_id: str, timeout) -> Optional[Channel]:
+        """Wait up to ``timeout`` for a peer-initiated channel to ``peer_id``."""
         with self._chan_cond:
             self._chan_cond.wait_for(
                 lambda: self._closed or peer_id in self.channels,
-                timeout)
+                Deadline.of(timeout).remaining())
             if self._closed:
                 raise ShutdownError("endpoint closed while waiting for a channel")
             return self.channels.get(peer_id)
@@ -305,10 +307,10 @@ class Endpoint:
     def _io_loop(self) -> None:
         try:
             while not self._closed:
-                now = time.monotonic()
-                for channel in [c for c, t in self._handshakes.items() if t <= now]:
+                for channel in [c for c, d in self._handshakes.items() if d.expired()]:
                     self._drop(channel)
-                timeout = min(self._handshakes.values()) - now if self._handshakes else None
+                timeout = min((d.remaining() for d in self._handshakes.values()),
+                              default=None)
                 for key, _ in self._selector.select(timeout):
                     try:
                         key.data()
@@ -340,7 +342,7 @@ class Endpoint:
         sock.setblocking(True)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         channel = Channel(sock, None, None, self)
-        self._handshakes[channel] = time.monotonic() + HANDSHAKE_TIMEOUT
+        self._handshakes[channel] = Deadline.of(HANDSHAKE_TIMEOUT)
         self._selector.register(sock, selectors.EVENT_READ,
                                 functools.partial(self._read, channel))
 
@@ -428,15 +430,14 @@ class Endpoint:
         """Return the oldest buffered envelope satisfying ``match``, blocking
         until one arrives. Non-matching envelopes from live epochs stay
         buffered."""
-        envelope, _ = self.recv_with_channel(match, timeout)
-        return envelope
+        return self.recv_with_channel(match, timeout)[0]
 
     def recv_with_channel(self, match=None, timeout=None):
         """Like recv() but also returns the channel the envelope arrived on.
-        ``timeout`` is one deadline for the whole call, however many
-        non-matching envelopes arrive meanwhile."""
+        ``timeout`` (seconds or a Deadline) bounds the whole call, however
+        many non-matching envelopes arrive; then DeadlineExceeded is raised."""
         pred = match if match is not None else (lambda e: True)
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = Deadline.of(timeout)
         with self._buf_cond:
             while True:
                 if self._closed:
@@ -445,9 +446,8 @@ class Endpoint:
                     if pred(envelope):
                         del self._buffer[i]
                         return envelope, channel
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if not self._buf_cond.wait(remaining):
-                    raise TimeoutError("no matching envelope arrived in time")
+                if not self._buf_cond.wait(deadline.remaining()):
+                    raise DeadlineExceeded("no matching envelope arrived in time")
 
     def purge_stale(self):
         """Drop (and reject) buffered envelopes made stale by an epoch advance."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
+import time
 
 from .errors import ProtocolError, error_fields, error_from_fields
 
@@ -38,6 +39,36 @@ TAG_MERGE_OUTCOME = 0xFFFF0004
 # src/dst rank used by parties that are not members of the addressed group
 # (the driver, or processes that have not joined yet).
 NO_RANK = -1
+
+# How long past its own deadline a member waits for a root's outcome, so a
+# root that gives up at the same deadline still reaches it with the error.
+OUTCOME_SLACK = 0.5
+
+
+class Deadline:
+    """One monotonic deadline shared by every wait of a call (``at`` None: never)."""
+
+    __slots__ = ("at",)
+
+    def __init__(self, at):
+        self.at = at
+
+    @classmethod
+    def of(cls, timeout) -> "Deadline":
+        """``timeout`` seconds from now (None: never); a Deadline passes as is."""
+        if isinstance(timeout, Deadline):
+            return timeout
+        return cls(None if timeout is None else time.monotonic() + timeout)
+
+    def remaining(self):
+        return None if self.at is None else max(0.0, self.at - time.monotonic())
+
+    def expired(self) -> bool:
+        return self.at is not None and time.monotonic() >= self.at
+
+    def for_outcome(self) -> "Deadline":
+        """This deadline plus OUTCOME_SLACK, for waiting on a root's outcome."""
+        return self if self.at is None else Deadline(self.at + OUTCOME_SLACK)
 
 
 class Value:

@@ -19,15 +19,16 @@ import os
 import sys
 import time
 import traceback
+from threading import TIMEOUT_MAX
 
 from . import wire
-from .collectives import allgather, barrier
+from .collectives import DEFAULT_TIMEOUT, allgather, barrier
 from .errors import EGroupError, NotSpawnedError, ProtocolError, error_fields
 from .groups import RetirementToken, roster_digest
 from .scaling import init_new_process, scale_in, scale_out
 from .spawner import BootstrapTicket, LocalProcessLauncher
 from .transport import match_fields
-from .wire import Envelope
+from .wire import Deadline, Envelope
 
 log = logging.getLogger(__name__)
 
@@ -42,40 +43,90 @@ REQUIRED_FIELDS = {"scale_out": ("num_add", "child_program"),
                    "scale_in": ("is_removing",)}
 
 
-def _reply(node, channel, seq, body):
-    payload = dict(body)
-    payload["seq"] = seq
-    payload["id"] = node.incarnation_id
-    channel.send(Envelope(
-        epoch=max(node.fencing.current, 0), tag=wire.TAG_DRIVER_REPLY,
-        src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-        payload=wire.json_payload(payload)))
-
-
 def _drain_rejections(node):
     """Stay reachable briefly after retirement so straggling senders get
     stale rejections instead of connection failures."""
-    deadline = time.monotonic() + DRAIN_TIMEOUT
-    last = node.endpoint.stale_rejected_count
-    quiet_since = time.monotonic()
-    while time.monotonic() < deadline:
-        time.sleep(0.05)
+    deadline, last = Deadline.of(DRAIN_TIMEOUT), None
+    while not deadline.expired():
         count = node.endpoint.stale_rejected_count
         if count != last:
-            last = count
-            quiet_since = time.monotonic()
-        elif time.monotonic() - quiet_since >= 0.2:
+            last, quiet = count, Deadline.of(0.2)
+        elif quiet.expired():
             return
+        time.sleep(0.05)
 
 
-def _serve(group):
+def _position(group) -> dict:
+    return {"rank": group.my_rank, "size": len(group.roster),
+            "epoch": group.epoch}
+
+
+def _execute(group, cmd: dict, launcher):
+    """Run one driver command. Returns the group to serve next (None after
+    stop or retirement) and the reply body. The command's optional
+    ``timeout`` field bounds the collectives it runs (DEFAULT_TIMEOUT
+    without one)."""
+    op = cmd.get("op")
+    missing = [f for f in REQUIRED_FIELDS.get(op, ()) if f not in cmd]
+    if missing:
+        raise ProtocolError(f"{op} command lacks fields {missing}")
+    if op == "scale_out" and (type(cmd["num_add"]) is not int
+                              or cmd["num_add"] < 1):
+        raise ProtocolError(f"scale_out num_add must be a positive "
+                            f"int, got {cmd['num_add']!r}")
+    timeout = cmd.get("timeout", DEFAULT_TIMEOUT)
+    if type(timeout) not in (int, float) or not 0 < timeout <= TIMEOUT_MAX:
+        raise ProtocolError(f"command timeout must be a positive "
+                            f"number of seconds, got {timeout!r}")
+    start = time.perf_counter()
+    if op == "stop":
+        return None, {"stopped": True}
+    if op == "barrier":
+        barrier(group, timeout=timeout)
+        return group, {}
+    if op == "ping":
+        return group, _position(group)
+    if op == "digest":
+        return group, {"digest": roster_digest(group.roster), **_position(group)}
+    if op == "allgather_ids":
+        block = group.node.incarnation_id.encode().ljust(ID_BLOCK_WIDTH, b"\x00")
+        gathered = allgather(group, block, timeout=timeout)
+        elapsed = time.perf_counter() - start
+        ids = [gathered[i:i + ID_BLOCK_WIDTH].rstrip(b"\x00").decode()
+               for i in range(0, len(gathered), ID_BLOCK_WIDTH)]
+        return group, {"ids": ids, "elapsed_s": elapsed}
+    if op == "scale_out":
+        phases = {}
+        size_before = len(group.roster)
+        group = scale_out(
+            group, cmd["num_add"], cmd["child_program"],
+            cmd.get("host_labels"), child_args=cmd.get("child_args", ()),
+            launcher=launcher, timeout=timeout, phases=phases)
+        return group, {
+            "total_s": time.perf_counter() - start,
+            "spawn_s": phases.get("spawn_s", 0.0),
+            "children": [m.to_json() for m in group.roster[size_before:]],
+            **_position(group)}
+    if op == "scale_in":
+        outcome = scale_in(group, bool(cmd["is_removing"]), timeout=timeout)
+        body = {"retired": isinstance(outcome.new_group, RetirementToken),
+                "can_terminate": outcome.can_terminate_host,
+                "total_s": time.perf_counter() - start,
+                "epoch": outcome.new_group.epoch}
+        if body["retired"]:
+            return None, body
+        return outcome.new_group, {**body, **_position(outcome.new_group)}
+    raise ProtocolError(f"unknown command {op!r}")
+
+
+def _serve(group) -> None:
     """Execute driver commands until stop or retirement, answering each on
-    the channel it came in on. Returns the exit status."""
+    the channel it came in on."""
     node = group.node
     # One launcher for every scale-out, so it can reap the children it
     # started in earlier ones.
     launcher = LocalProcessLauncher()
-    while True:
+    while group is not None:
         cmd_env, channel = node.endpoint.recv_with_channel(
             match_fields(tag=wire.TAG_DRIVER_CMD))
         try:
@@ -83,94 +134,18 @@ def _serve(group):
         except ProtocolError as exc:
             log.warning("dropping malformed driver command: %s", exc)
             continue
-        op = cmd.get("op")
-        seq = cmd.get("seq")
         try:
-            missing = [f for f in REQUIRED_FIELDS.get(op, ()) if f not in cmd]
-            if missing:
-                raise ProtocolError(f"{op} command lacks fields {missing}")
-            if op == "scale_out" and (type(cmd["num_add"]) is not int
-                                      or cmd["num_add"] < 1):
-                raise ProtocolError(f"scale_out num_add must be a positive "
-                                    f"int, got {cmd['num_add']!r}")
-            if op == "stop":
-                _reply(node, channel, seq, {"ok": True, "stopped": True})
-                return 0
-
-            if op == "barrier":
-                barrier(group)
-                _reply(node, channel, seq, {"ok": True})
-
-            elif op == "ping":
-                _reply(node, channel, seq, {
-                    "ok": True, "rank": group.my_rank,
-                    "size": len(group.roster), "epoch": group.epoch,
-                })
-
-            elif op == "digest":
-                _reply(node, channel, seq, {
-                    "ok": True,
-                    "digest": roster_digest(group.roster),
-                    "rank": group.my_rank,
-                    "size": len(group.roster),
-                })
-
-            elif op == "allgather_ids":
-                start = time.perf_counter()
-                block = node.incarnation_id.encode().ljust(ID_BLOCK_WIDTH, b"\x00")
-                gathered = allgather(group, block)
-                elapsed = time.perf_counter() - start
-                ids = [gathered[i:i + ID_BLOCK_WIDTH].rstrip(b"\x00").decode()
-                       for i in range(0, len(gathered), ID_BLOCK_WIDTH)]
-                _reply(node, channel, seq, {
-                    "ok": True, "ids": ids, "elapsed_s": elapsed,
-                })
-
-            elif op == "scale_out":
-                phases = {}
-                size_before = len(group.roster)
-                start = time.perf_counter()
-                group = scale_out(
-                    group, cmd["num_add"], cmd["child_program"],
-                    cmd.get("host_labels"),
-                    child_args=cmd.get("child_args", ()),
-                    launcher=launcher, phases=phases)
-                total = time.perf_counter() - start
-                _reply(node, channel, seq, {
-                    "ok": True, "total_s": total,
-                    "spawn_s": phases.get("spawn_s", 0.0),
-                    "epoch": group.epoch, "rank": group.my_rank,
-                    "size": len(group.roster),
-                    "children": [m.to_json()
-                                 for m in group.roster[size_before:]],
-                })
-
-            elif op == "scale_in":
-                start = time.perf_counter()
-                outcome = scale_in(group, bool(cmd["is_removing"]))
-                total = time.perf_counter() - start
-                if isinstance(outcome.new_group, RetirementToken):
-                    _reply(node, channel, seq, {
-                        "ok": True, "retired": True,
-                        "can_terminate": outcome.can_terminate_host,
-                        "total_s": total,
-                        "epoch": outcome.new_group.epoch,
-                    })
-                    _drain_rejections(node)
-                    return 0
-                group = outcome.new_group
-                _reply(node, channel, seq, {
-                    "ok": True, "retired": False,
-                    "can_terminate": outcome.can_terminate_host,
-                    "total_s": total,
-                    "epoch": group.epoch, "rank": group.my_rank,
-                    "size": len(group.roster),
-                })
-
-            else:
-                raise ProtocolError(f"unknown command {op!r}")
+            group, body = _execute(group, cmd, launcher)
+            body["ok"] = True
         except EGroupError as exc:
-            _reply(node, channel, seq, {"ok": False, **error_fields(exc)})
+            body = {"ok": False, **error_fields(exc)}
+        body.update(seq=cmd.get("seq"), id=node.incarnation_id)
+        channel.send(Envelope(
+            epoch=max(node.fencing.current, 0), tag=wire.TAG_DRIVER_REPLY,
+            src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
+            payload=wire.json_payload(body)))
+        if body.get("retired"):
+            _drain_rejections(node)
 
 
 def worker_main(argv=None, environ=None) -> int:
@@ -188,7 +163,8 @@ def worker_main(argv=None, environ=None) -> int:
     group = init_new_process(ticket=ticket)
 
     try:
-        status = _serve(group)
+        _serve(group)
+        status = 0
     except Exception:
         traceback.print_exc()
         status = 1

@@ -31,7 +31,7 @@ from egroup.collectives import (
     partition_by_color,
     split,
 )
-from egroup.errors import ProtocolError
+from egroup.errors import DeadlineExceeded, EGroupError, ProtocolError
 from egroup.spawner import BootstrapTicket, SpawnSpec, attach_parent, spawn
 from egroup.transport import match_fields
 from egroup.wire import Envelope
@@ -162,6 +162,23 @@ class TestAllgather:
                 return True
 
             assert run_members(member, groups) == [True, True, True]
+
+    def test_staggered_entry_times_out_everywhere(self):
+        # Rank i enters 0.8*i s late with a 1 s timeout: rank 0 gives up
+        # before rank 2 arrives, and no member may return success.
+        timeout = 1.0
+        with cluster(4) as groups:
+            def member(group):
+                time.sleep(0.8 * group.my_rank)
+                start = time.monotonic()
+                with pytest.raises(DeadlineExceeded) as excinfo:
+                    allgather(group, b"x", timeout=timeout)
+                assert isinstance(excinfo.value, EGroupError)
+                assert isinstance(excinfo.value, TimeoutError)
+                return time.monotonic() - start
+
+            elapsed = run_members(member, groups)
+            assert all(e <= timeout + 0.5 for e in elapsed), elapsed
 
 
 class TestSplit:
@@ -384,6 +401,26 @@ class TestMerge:
                 time.sleep(0.01)
             with pytest.raises(ProtocolError, match="unknown member"):
                 wire.unwrap_outcome(child_outcomes[0])
+
+    def test_coordinator_deadline_fails_every_member(self):
+        # Child rank 1 never says hello. The coordinator gives up at its own
+        # 1 s deadline and tells the members that would still wait 30 s.
+        with cluster(2) as parents, cluster(2) as children:
+            inters = make_intergroups(parents, children)
+
+            def member(inter):
+                if inter.side is Side.CHILD and inter.local_group.my_rank == 1:
+                    return None
+                coordinator = (inter.side is Side.PARENT
+                               and inter.local_group.my_rank == 0)
+                start = time.monotonic()
+                with pytest.raises(DeadlineExceeded):
+                    merge(inter, high=inter.side is Side.CHILD,
+                          timeout=1.0 if coordinator else 30.0)
+                return time.monotonic() - start
+
+            elapsed = run_members(member, inters)
+            assert all(e < 2.0 for e in elapsed if e is not None), elapsed
 
     def test_consumed_intergroup_rejected(self):
         with cluster(1) as parents, cluster(1) as children:

@@ -1,5 +1,7 @@
 """Module boundaries: no egroup module reaches into another's private names,
-only the spawner starts processes, and every wire tag has a user."""
+only the spawner starts processes, and every wire tag has a user. Timeouts:
+no public call takes a ``*_timeout`` parameter, and no module raises a bare
+TimeoutError."""
 
 import ast
 import pathlib
@@ -103,3 +105,77 @@ def test_check_sees_unused_tags(tmp_path):
                     "TAG_B\n")
     assert list(unused_tags(wire_sample, [user])) == [
         "wire.py:3 defines unused TAG_C"]
+
+
+def _public(name):
+    return not name.startswith("_") or (name.startswith("__")
+                                        and name.endswith("__"))
+
+
+def timeout_params(path):
+    """Yield each parameter named ``*_timeout`` of a public module-level
+    function or a public method of a public class."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = [(node.name, node) for node in tree.body
+            if isinstance(node, ast.FunctionDef)]
+    defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+             if isinstance(cls, ast.ClassDef) and _public(cls.name)
+             for node in cls.body if isinstance(node, ast.FunctionDef)]
+    for name, fn in defs:
+        if not _public(name.rpartition(".")[2]):
+            continue
+        a = fn.args
+        for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+            if arg is not None and arg.arg.endswith("_timeout"):
+                yield f"{path.name}:{fn.lineno} {name} takes {arg.arg}"
+
+
+def test_no_public_call_takes_a_named_timeout():
+    found = [param for name in ("collectives", "spawner", "scaling", "driver")
+             for param in timeout_params(SRC / f"{name}.py")]
+    assert found == []
+
+
+def test_check_sees_named_timeouts(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("def spawn(g, registration_timeout=1): pass\n"
+                      "def _private(x_timeout): pass\n"
+                      "class Driver:\n"
+                      "    def __init__(self, startup_timeout=1): pass\n"
+                      "    def run(self, *, command_timeout=1): pass\n"
+                      "    def _helper(self, y_timeout): pass\n"
+                      "    def wait(self, timeout=1): pass\n")
+    assert list(timeout_params(sample)) == [
+        "sample.py:1 spawn takes registration_timeout",
+        "sample.py:4 Driver.__init__ takes startup_timeout",
+        "sample.py:5 Driver.run takes command_timeout"]
+
+
+def bare_timeout_errors(path):
+    """Yield each construction or raise of the builtin ``TimeoutError``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in sorted(ast.walk(tree), key=lambda n: getattr(n, "lineno", 0)):
+        target = (node.func if isinstance(node, ast.Call)
+                  else node.exc if isinstance(node, ast.Raise) else None)
+        if "TimeoutError" in (getattr(target, "id", None),
+                              getattr(target, "attr", None)):
+            yield f"{path.name}:{node.lineno} raises TimeoutError"
+
+
+def test_no_module_raises_a_bare_timeout_error():
+    found = [use for path in sorted(SRC.glob("*.py"))
+             for use in bare_timeout_errors(path)]
+    assert found == []
+
+
+def test_check_sees_bare_timeout_errors(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import builtins\n"
+                      "class Late(TimeoutError): pass\n"
+                      "raise TimeoutError('x')\n"
+                      "raise TimeoutError\n"
+                      "err = builtins.TimeoutError()\n"
+                      "except_types = (TimeoutError,)\n")
+    assert list(bare_timeout_errors(sample)) == [
+        "sample.py:3 raises TimeoutError", "sample.py:4 raises TimeoutError",
+        "sample.py:5 raises TimeoutError"]

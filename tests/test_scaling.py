@@ -1,5 +1,6 @@
 """Growing and shrinking live groups."""
 
+import subprocess
 import sys
 import threading
 import time
@@ -15,7 +16,7 @@ from egroup import (
     ThreadLauncher,
 )
 from egroup.collectives import allgather, barrier, merge
-from egroup.errors import ProtocolError, SpawnError
+from egroup.errors import DeadlineExceeded, ProtocolError, SpawnError
 from egroup.scaling import init_new_process, scale_in, scale_out
 from egroup.spawner import BootstrapTicket, LocalProcessLauncher, SpawnSpec, spawn
 
@@ -144,7 +145,7 @@ class TestScaleOut:
                     scale_out(group, 1, "-",
                               launcher=ThreadLauncher(never_register)
                               if group.my_rank == 0 else None,
-                              registration_timeout=1.0)
+                              timeout=1.0)
                 barrier(group)
                 return allgather(group, bytes([group.my_rank]))
 
@@ -202,12 +203,37 @@ class TestScaleOut:
                 "barrier(group, timeout=30)\n"
                 "group.node.close()\n")
         out = tmp_path / "child.out"
-        with open(out, "w") as f, cluster(1) as groups:
-            group = scale_out(groups[0], 1, sys.executable,
-                              child_args=("-c", code),
-                              launcher=LocalProcessLauncher(stdout=f))
-            barrier(group, timeout=30)
+        launched = []
+
+        class KeepingLauncher(LocalProcessLauncher):
+            def launch(self, spec, index, ticket_env):
+                launched.append(super().launch(spec, index, ticket_env))
+                return launched[-1]
+
+        with open(out, "w") as f:
+            launcher = KeepingLauncher(stdout=f)
+            with cluster(1) as groups:
+                group = scale_out(groups[0], 1, sys.executable,
+                                  child_args=("-c", code), launcher=launcher)
+                barrier(group, timeout=30)
+            for proc in launched:
+                try:
+                    proc.wait(30)
+                except subprocess.TimeoutExpired:
+                    launcher.stop(proc)
         assert out.read_text().split() == ["FencingError"]
+        assert [proc.returncode for proc in launched] == [0]
+
+    def test_init_timeout_bounds_the_wait_for_the_parent(self):
+        # The parent accepts the registration but never answers it.
+        with Node(host_label="parent") as parent:
+            ticket = BootstrapTicket(parent_address=parent.listen_address,
+                                     parent_epoch=0, child_index=0,
+                                     host_label="h", child_count=1)
+            start = time.monotonic()
+            with pytest.raises(DeadlineExceeded):
+                init_new_process(ticket=ticket, timeout=1.0)
+            assert time.monotonic() - start < 2.0
 
 
 class TestScaleIn:

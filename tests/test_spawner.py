@@ -225,7 +225,7 @@ class TestSpawnWithThreads:
                 with pytest.raises(SpawnError) as excinfo:
                     spawn(groups[0], 0, SpawnSpec(program="-", count=3),
                           launcher=ThreadLauncher(recorder.target),
-                          registration_timeout=1.5)
+                          timeout=1.5)
                 assert "[1]" in str(excinfo.value)
                 # The children that did register are told the spawn died;
                 # the skipped index never records anything.
@@ -270,7 +270,7 @@ class TestSpawnWithThreads:
                 with pytest.raises(ProtocolError, match="descriptor"):
                     spawn(groups[0], 0, SpawnSpec(program="-", count=1),
                           launcher=ThreadLauncher(child),
-                          registration_timeout=10.0)
+                          timeout=10.0)
                 assert allgather(groups[0], b"ok") == b"ok"
         finally:
             done.set()
@@ -317,5 +317,5 @@ class TestSpawnWithProcesses:
                 spawn(groups[0], 0,
                       SpawnSpec(program="/no/such/binary", count=1),
                       launcher=LocalProcessLauncher(),
-                      registration_timeout=5.0)
+                      timeout=5.0)
             assert "/no/such/binary" in str(excinfo.value)

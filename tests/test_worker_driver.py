@@ -35,7 +35,7 @@ class TestHostPacking:
 
 class TestFleet:
     def test_bootstrap_and_probe(self):
-        with Driver(slots_per_host=2, startup_timeout=30) as drv:
+        with Driver(slots_per_host=2, timeout=30) as drv:
             drv.start_fleet(3)
             assert drv.size == 3
             assert len(drv.digests()) == 1, "workers disagree on the roster"
@@ -49,7 +49,7 @@ class TestFleet:
             assert labels == ["node0", "node0", "node1"]
 
     def test_allgather_ids_sees_everyone(self):
-        with Driver(startup_timeout=30) as drv:
+        with Driver(timeout=30) as drv:
             drv.start_fleet(3)
             replies = drv.allgather_ids()
             fleet_ids = [h.incarnation_id for h in drv.workers]
@@ -58,7 +58,7 @@ class TestFleet:
                 assert msg["elapsed_s"] >= 0.0
 
     def test_unknown_command_surfaces_as_failure(self):
-        with Driver(startup_timeout=30) as drv:
+        with Driver(timeout=30) as drv:
             drv.start_fleet(2)
             with pytest.raises(CommandFailure) as excinfo:
                 drv.command_all("frobnicate")
@@ -67,7 +67,7 @@ class TestFleet:
             drv.barrier()
 
     def test_late_reply_is_dropped(self):
-        with Driver(startup_timeout=30) as drv:
+        with Driver(timeout=30) as drv:
             drv.start_fleet(2)
             # A command whose replies nobody collects: they arrive while the
             # driver waits on the next command.
@@ -84,14 +84,14 @@ class TestFleet:
             assert drv.scale_out(1)["size"] == 3
 
     def test_reply_to_unsent_command_raises(self):
-        with Driver(startup_timeout=30) as drv:
+        with Driver(timeout=30) as drv:
             drv.start_fleet(2)
             drv._send_command(drv.workers[0], drv._seq + 5, "ping")
             with pytest.raises(ProtocolError, match="never sent"):
                 drv.barrier()
 
     def test_malformed_command_is_dropped(self):
-        drv = Driver(startup_timeout=30, command_timeout=30)
+        drv = Driver(timeout=30)
         procs = []
         try:
             drv.start_fleet(2)
@@ -110,7 +110,7 @@ class TestFleet:
         assert [p.returncode for p in procs] == [0, 0]
 
     def test_command_missing_a_field_gets_an_error_reply(self):
-        drv = Driver(startup_timeout=30, command_timeout=30)
+        drv = Driver(timeout=30)
         procs = []
         try:
             drv.start_fleet(2)
@@ -127,7 +127,7 @@ class TestFleet:
         assert [p.returncode for p in procs] == [0, 0]
 
     def test_scale_out_with_a_non_int_num_add_gets_an_error_reply(self):
-        drv = Driver(startup_timeout=30, command_timeout=30)
+        drv = Driver(timeout=30)
         procs = []
         try:
             drv.start_fleet(2)
@@ -143,10 +143,28 @@ class TestFleet:
             drv.close()
         assert [p.returncode for p in procs] == [0, 0]
 
+    def test_bad_command_timeout_gets_an_error_reply(self):
+        drv = Driver(timeout=30)
+        procs = []
+        try:
+            drv.start_fleet(2)
+            procs = [h.proc for h in drv.workers]
+            for bad in ("3", True, 0, -1.5, None, float("inf")):
+                per_worker = {h.incarnation_id: {"timeout": bad}
+                              for h in drv.workers}
+                with pytest.raises(CommandFailure, match="timeout") as excinfo:
+                    drv.command_all("barrier", per_worker_params=per_worker)
+                assert isinstance(excinfo.value.error, ProtocolError)
+            drv.barrier()
+            assert sorted(m["rank"] for m in drv.ping().values()) == [0, 1]
+        finally:
+            drv.close()
+        assert [p.returncode for p in procs] == [0, 0]
+
     def test_start_fleet_that_never_registers_raises_and_stops_workers(self):
         drv = Driver(worker_command=[sys.executable, "-c",
                                      "import time; time.sleep(30)"],
-                     startup_timeout=1)
+                     timeout=1)
         try:
             start = time.monotonic()
             with pytest.raises(SpawnError, match=r"missing child_index "
@@ -161,7 +179,7 @@ class TestFleet:
             drv.close()
 
     def test_stop_exits_cleanly(self):
-        with Driver(startup_timeout=30) as drv:
+        with Driver(timeout=30) as drv:
             drv.start_fleet(2)
             drv.stop_all()
             codes = drv.wait_for_exit(timeout=10)
@@ -170,7 +188,7 @@ class TestFleet:
     def test_close_lets_stopped_workers_exit_zero(self):
         # close() sends stop; workers that acknowledge it must get to exit
         # on their own rather than being terminated by signal.
-        drv = Driver(startup_timeout=30)
+        drv = Driver(timeout=30)
         procs = []
         try:
             drv.start_fleet(4)
@@ -182,8 +200,38 @@ class TestFleet:
 
 
 class TestFleetScaling:
+    def test_failed_spawn_fails_every_worker_within_the_timeout(self, tmp_path):
+        # The initial fleet runs the worker; once the marker exists, spawned
+        # children sleep instead of registering.
+        marker = tmp_path / "children-sleep"
+        code = (f"import os, sys, time\n"
+                f"if os.path.exists({str(marker)!r}):\n"
+                f"    time.sleep(30)\n"
+                f"    sys.exit(3)\n"
+                f"from egroup.worker import main\n"
+                f"main()\n")
+        drv = Driver(worker_command=[sys.executable, "-c", code], timeout=30)
+        procs = []
+        try:
+            drv.start_fleet(2)
+            procs = [h.proc for h in drv.workers]
+            marker.touch()
+            start = time.monotonic()
+            with pytest.raises(CommandFailure) as excinfo:
+                drv.scale_out(1, timeout=3)
+            assert time.monotonic() - start < 4.5
+            assert isinstance(excinfo.value.error, SpawnError)
+            assert "[0]" in str(excinfo.value.error)
+            drv.barrier()
+            pings = drv.ping()
+            assert sorted(m["rank"] for m in pings.values()) == [0, 1]
+            assert all(m["size"] == 2 for m in pings.values())
+        finally:
+            drv.close()
+        assert [p.returncode for p in procs] == [0, 0]
+
     def test_scale_out_keeps_ranks_and_connects_children(self):
-        with Driver(slots_per_host=2, startup_timeout=30) as drv:
+        with Driver(slots_per_host=2, timeout=30) as drv:
             drv.start_fleet(2)
             original = [h.incarnation_id for h in drv.workers]
 
@@ -212,7 +260,7 @@ class TestFleetScaling:
                 assert msg["ids"] == fleet_ids
 
     def test_scale_in_retires_highest_ranks(self):
-        with Driver(startup_timeout=30) as drv:
+        with Driver(timeout=30) as drv:
             drv.start_fleet(4)
             doomed = drv.workers[-1]
 
@@ -234,7 +282,7 @@ class TestFleetScaling:
     def test_scale_in_reports_retiree_host_decisions(self):
         # Four retirees alone on node1 may each retire their host; the
         # remaining root on node0 may not.
-        with Driver(slots_per_host=4, startup_timeout=30) as drv:
+        with Driver(slots_per_host=4, timeout=30) as drv:
             drv.start_fleet(4)
             drv.scale_out(4)
             retirees = [h.incarnation_id for h in drv.workers[4:]]
@@ -245,7 +293,7 @@ class TestFleetScaling:
             assert reply["rank"] == 0 and reply["size"] == 4
 
     def test_scale_in_delta_bounds(self):
-        with Driver(startup_timeout=30) as drv:
+        with Driver(timeout=30) as drv:
             drv.start_fleet(2)
             with pytest.raises(ValueError):
                 drv.scale_in(2)
@@ -253,7 +301,7 @@ class TestFleetScaling:
                 drv.scale_in(0)
 
     def test_grow_then_shrink_round_trip(self):
-        with Driver(startup_timeout=30) as drv:
+        with Driver(timeout=30) as drv:
             drv.start_fleet(2)
             original = [h.incarnation_id for h in drv.workers]
             drv.scale_out(2)
