@@ -13,7 +13,6 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 from .driver import Driver, default_worker_command
 from .errors import EGroupError
@@ -67,7 +66,7 @@ class BenchConfig:
     deltas: tuple
     trials: int = 5
     slots_per_host: int = 32
-    child_program: Optional[str] = None
+    child_program: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "deltas", tuple(self.deltas))

@@ -14,7 +14,6 @@ concurrent operations from colliding.
 from __future__ import annotations
 
 import struct
-from typing import Optional, Union
 
 from . import wire
 from .errors import DeadlineExceeded, ProtocolError
@@ -52,13 +51,13 @@ def _node_of(group: Group):
 
 # -- intra-group collectives ---------------------------------------------------
 
-def barrier(group: Group, timeout: Optional[float] = DEFAULT_TIMEOUT) -> None:
+def barrier(group: Group, timeout: float | None = DEFAULT_TIMEOUT) -> None:
     """Block until every member of the group has entered the barrier."""
     allgather(group, b"", timeout=timeout)
 
 
 def broadcast(group: Group, root: int, payload: bytes,
-              timeout: Optional[float] = DEFAULT_TIMEOUT) -> bytes:
+              timeout: float | None = DEFAULT_TIMEOUT) -> bytes:
     """Distribute root's payload; every member returns it."""
     node = _node_of(group)
     n = len(group.roster)
@@ -77,7 +76,7 @@ def broadcast(group: Group, root: int, payload: bytes,
 
 
 def allgather(group: Group, block: bytes,
-              timeout: Optional[float] = DEFAULT_TIMEOUT) -> bytes:
+              timeout: float | None = DEFAULT_TIMEOUT) -> bytes:
     """Gather one fixed-width block per member; every member returns the
     rank-ordered concatenation. All members must supply the same width.
     If rank 0's deadline passes first, every member raises DeadlineExceeded."""
@@ -125,9 +124,9 @@ def partition_by_color(entries) -> dict:
             for color, members in by_color.items()}
 
 
-def split(group: Group, key: SplitKey, retiring_color: Optional[int] = None,
-          timeout: Optional[float] = DEFAULT_TIMEOUT
-          ) -> Union[Group, RetirementToken]:
+def split(group: Group, key: SplitKey, retiring_color: int | None = None,
+          timeout: float | None = DEFAULT_TIMEOUT
+          ) -> Group | RetirementToken:
     """Partition the group by color into disjoint successors at epoch+1.
 
     Members whose color equals ``retiring_color`` get a RetirementToken
@@ -157,7 +156,7 @@ def split(group: Group, key: SplitKey, retiring_color: Optional[int] = None,
 # -- inter-group merge ---------------------------------------------------------
 
 def merge(inter: InterGroup, high: bool,
-          timeout: Optional[float] = DEFAULT_TIMEOUT) -> Group:
+          timeout: float | None = DEFAULT_TIMEOUT) -> Group:
     """Collapse both sides of an inter-group into one group.
 
     The side that passes high=False keeps ranks 0..n_low-1 in its prior
@@ -237,7 +236,7 @@ def _coordinate_merge(node, inter: InterGroup, own_hello: bytes,
     return new_epoch
 
 
-def _check_hellos(sides: dict, hellos: dict) -> Optional[ProtocolError]:
+def _check_hellos(sides: dict, hellos: dict) -> ProtocolError | None:
     """The error the merge must publish, or None when exactly one side is
     high and every hello is well formed."""
     for member_id, msg in hellos.items():

@@ -12,30 +12,36 @@ view of the fleet follows every scale event.
 
 from __future__ import annotations
 
-import logging
 import subprocess
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 from . import wire
 from .collectives import DEFAULT_TIMEOUT
-from .errors import DeadlineExceeded, EGroupError, ProtocolError, error_from_fields
+from .errors import (
+    DeadlineExceeded,
+    DeferredLogger,
+    EGroupError,
+    ProtocolError,
+    error_from_fields,
+)
 from .groups import MemberDescriptor
 from .node import Node
 from .spawner import LocalProcessLauncher, SpawnSpec, launch_and_register
 from .transport import match_fields
 from .wire import Deadline, Envelope
 
-log = logging.getLogger(__name__)
+log = DeferredLogger(__name__)
 
 # How long close() lets workers that acknowledged stop exit on their own.
 STOP_GRACE = 2.0
 
 
 def default_worker_command() -> list:
-    """Command line that starts the worker program in this interpreter."""
-    return [sys.executable, "-m", "egroup.worker"]
+    """Command line that starts the worker program in this interpreter,
+    without ``site``: the worker needs only the standard library, and the
+    launcher puts egroup's import root on the child's PYTHONPATH."""
+    return [sys.executable, "-S", "-m", "egroup.worker"]
 
 
 def host_label_for_slot(slot: int, slots_per_host: int) -> str:
@@ -52,7 +58,7 @@ class WorkerHandle:
     member: MemberDescriptor
     rank: int
     epoch: int
-    proc: Optional[subprocess.Popen] = None
+    proc: subprocess.Popen | None = None
 
     @property
     def incarnation_id(self) -> str:
@@ -76,7 +82,7 @@ class Driver:
     collectives end when the driver stops waiting."""
 
     def __init__(self, worker_command=None, slots_per_host: int = 32,
-                 timeout: Optional[float] = DEFAULT_TIMEOUT, stderr=None):
+                 timeout: float | None = DEFAULT_TIMEOUT, stderr=None):
         self.worker_command = list(worker_command or default_worker_command())
         self.slots_per_host = slots_per_host
         self.timeout = timeout
@@ -176,7 +182,7 @@ class Driver:
         return replies
 
     def command_all(self, op: str, per_worker_params=None,
-                    timeout: Optional[float] = None, **params) -> dict:
+                    timeout: float | None = None, **params) -> dict:
         """Send one command to every worker and wait for every reply."""
         return self._command(self.workers, op, per_worker_params, timeout,
                              **params)
@@ -197,7 +203,7 @@ class Driver:
         """Returns {incarnation_id: {"ids": [...], "elapsed_s": s}}."""
         return self.command_all("allgather_ids")
 
-    def scale_out(self, delta: int, timeout: Optional[float] = None) -> dict:
+    def scale_out(self, delta: int, timeout: float | None = None) -> dict:
         """Grow the fleet by ``delta`` spawned children; returns the rank-0
         worker's timing reply once every child has answered the driver at
         its expected rank and epoch. One deadline covers the command and the
@@ -240,7 +246,7 @@ class Driver:
                 f"worker {handle.incarnation_id} answered at (rank, epoch) "
                 f"{got}, expected {(handle.rank, handle.epoch)}")
 
-    def scale_in(self, delta: int, timeout: Optional[float] = None) -> dict:
+    def scale_in(self, delta: int, timeout: float | None = None) -> dict:
         """Remove the ``delta`` highest-ranked workers; returns the remaining
         rank-0 worker's timing reply, plus ``retiree_can_terminate``: each
         retiree's host-retirement decision keyed by its incarnation id."""

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its logger."""
 
 
 class EGroupError(Exception):
@@ -79,3 +79,21 @@ def error_from_fields(fields: dict) -> EGroupError:
     """Rebuild an error shipped over the wire; unknown names degrade to the base class."""
     cls = _BY_NAME.get(str(fields.get("error")), EGroupError)
     return cls(str(fields.get("message", "")))
+
+
+class DeferredLogger:
+    """A module's ``logging.getLogger(name)``, fetched at its first record.
+
+    Records are rare (dropped or late messages, a failing I/O callback), and
+    a worker that never logs should not pay for importing ``logging`` at
+    start-up; every call goes to the stdlib logger of the same name.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __getattr__(self, attr):
+        import logging
+        return getattr(logging.getLogger(self.name), attr)

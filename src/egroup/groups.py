@@ -8,13 +8,13 @@ epoch, and the process-local runtime decides which epochs are still live.
 from __future__ import annotations
 
 import enum
-import hashlib
 import os
-from typing import Optional, TYPE_CHECKING
 
 from .errors import ProtocolError, RetiredGroupError
 from .wire import Value
 
+# Type checkers read this name as True; at run time typing stays unimported.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .node import Node
 
@@ -89,7 +89,7 @@ class Group(Value):
     _compare = ("epoch", "roster", "my_rank")
 
     def __init__(self, epoch: int, roster: tuple, my_rank: int,
-                 node: Optional["Node"] = None):
+                 node: Node | None = None):
         if epoch < 0:
             raise ValueError(f"epoch must be non-negative, got {epoch}")
         if not (0 <= my_rank < len(roster)):
@@ -183,6 +183,7 @@ class RetirementToken(Value):
 
 def roster_digest(roster) -> str:
     """SHA-256 over ``incarnation_id|host_label|listen_address\\n`` in rank order."""
+    import hashlib
     h = hashlib.sha256()
     for m in roster:
         h.update(

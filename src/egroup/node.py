@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 import socket
 import threading
-from typing import Optional
 
 from . import wire
 from .errors import DeliveryError, FencingError, RetiredGroupError
@@ -24,7 +23,7 @@ DEFAULT_BIND = "127.0.0.1:0"
 class Node:
     """The process-local anchor that groups, collectives, and spawns share."""
 
-    def __init__(self, host_label: Optional[str] = None, bind: str = DEFAULT_BIND):
+    def __init__(self, host_label: str | None = None, bind: str = DEFAULT_BIND):
         if host_label is None:
             host_label = os.environ.get("EG_HOST_LABEL") or socket.gethostname()
         self.host_label = host_label
@@ -87,8 +86,8 @@ class Node:
                               src_rank=group.my_rank, dst_rank=dst_rank,
                               payload=payload))
 
-    def recv_on(self, group: Group, tag: int, src_rank: Optional[int] = None,
-                timeout: Optional[float] = None) -> Envelope:
+    def recv_on(self, group: Group, tag: int, src_rank: int | None = None,
+                timeout: float | None = None) -> Envelope:
         self.check_group_live(group)
         return self.endpoint.recv(
             match_fields(epoch=group.epoch, tag=tag, src_rank=src_rank),

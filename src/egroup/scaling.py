@@ -12,7 +12,6 @@ while the rest continue at the next epoch.
 from __future__ import annotations
 
 import time
-from typing import Optional, Union
 
 from .collectives import (
     DEFAULT_TIMEOUT,
@@ -72,7 +71,7 @@ class ScaleInOutcome(Value):
 
     __slots__ = ("new_group", "can_terminate_host")
 
-    def __init__(self, new_group: Union[Group, RetirementToken],
+    def __init__(self, new_group: Group | RetirementToken,
                  can_terminate_host: bool):
         self._init_fields(new_group, can_terminate_host)
 
@@ -100,9 +99,9 @@ def host_can_terminate(occupancy: HostOccupancy, my_host: str) -> bool:
 
 def scale_out(old_group: Group, num_add: int, child_program: str,
               host_labels=None, *, child_args=(),
-              launcher: Optional[Launcher] = None,
-              timeout: Optional[float] = DEFAULT_TIMEOUT,
-              phases: Optional[dict] = None) -> Group:
+              launcher: Launcher | None = None,
+              timeout: float | None = DEFAULT_TIMEOUT,
+              phases: dict | None = None) -> Group:
     """Grow the group by ``num_add`` spawned children; originals keep their
     ranks, children follow at ranks size..size+num_add-1.
 
@@ -127,9 +126,9 @@ def scale_out(old_group: Group, num_add: int, child_program: str,
     return new_group
 
 
-def init_new_process(node: Optional[Node] = None,
-                     ticket: Optional[BootstrapTicket] = None,
-                     timeout: Optional[float] = DEFAULT_TIMEOUT) -> Group:
+def init_new_process(node: Node | None = None,
+                     ticket: BootstrapTicket | None = None,
+                     timeout: float | None = DEFAULT_TIMEOUT) -> Group:
     """Called by a spawned child: attach to the parent, merge as the high
     side, and return the combined group. Single use; the inter-group link is
     consumed by the merge. A parent that sends no parent roster is the
@@ -154,7 +153,7 @@ def init_new_process(node: Optional[Node] = None,
 
 
 def scale_in(old_group: Group, is_removing: bool,
-             timeout: Optional[float] = DEFAULT_TIMEOUT) -> ScaleInOutcome:
+             timeout: float | None = DEFAULT_TIMEOUT) -> ScaleInOutcome:
     """Shrink the group: members passing is_removing=True receive a
     retirement token and are fenced off; the rest continue in a successor
     group with their relative order preserved.

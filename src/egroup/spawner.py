@@ -11,10 +11,8 @@ in-process thread launcher, the benchmark uses real subprocesses.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
-from typing import Optional
 
 from . import wire
 from .collectives import DEFAULT_TIMEOUT, allgather, broadcast
@@ -31,6 +29,15 @@ ENV_HOST_LABEL = "EG_HOST_LABEL"
 ENV_CHILD_COUNT = "EG_CHILD_COUNT"
 ENV_PREFIX = "EG_"
 
+# The directory holding this egroup package, first on every child's
+# PYTHONPATH so the child imports the same egroup as its parent, however
+# the parent found it.
+IMPORT_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# How often the registration wait asks the launcher whether an unregistered
+# child has already exited.
+EXIT_POLL = 0.1
+
 
 class SpawnSpec(wire.Value):
     """What to launch: program, arguments, how many copies, where."""
@@ -38,7 +45,7 @@ class SpawnSpec(wire.Value):
     __slots__ = ("program", "args", "count", "host_labels")
 
     def __init__(self, program: str, args: tuple = (), count: int = 1,
-                 host_labels: Optional[tuple] = None):
+                 host_labels: tuple | None = None):
         args = tuple(args)
         if host_labels is not None:
             host_labels = tuple(host_labels)
@@ -58,6 +65,7 @@ class SpawnSpec(wire.Value):
             "host_labels": list(self.host_labels) if self.host_labels else None,
             "root": root,
         })
+        import hashlib
         return hashlib.sha256(body).digest()
 
     def label_for(self, index: int, fallback: str) -> str:
@@ -129,15 +137,21 @@ class Launcher:
     def stop(self, handle) -> None:
         raise NotImplementedError
 
+    def exit_status(self, handle):
+        """The child's exit status once it has exited, else None (also when
+        the launcher cannot tell)."""
+        return None
+
 
 class LocalProcessLauncher(Launcher):
     """Run children as local subprocesses with the ticket in their environment.
 
-    Exited children are reaped by polling at each launch and stop, the way
-    subprocess reaps abandoned Popen objects, so no thread waits on them.
-    Keep one launcher for the life of the spawning process. ``subprocess`` is
-    imported on the first launch or stop: only a spawning root needs it, and
-    every spawned worker would otherwise pay for it at start-up.
+    Each child's PYTHONPATH starts with IMPORT_ROOT. Exited children are
+    reaped by polling at each launch and stop, the way subprocess reaps
+    abandoned Popen objects, so no thread waits on them. Keep one launcher
+    for the life of the spawning process. ``subprocess`` is imported on the
+    first launch or stop: only a spawning root needs it, and every spawned
+    worker would otherwise pay for it at start-up.
     """
 
     def __init__(self, stdout=None, stderr=None):
@@ -152,6 +166,10 @@ class LocalProcessLauncher(Launcher):
         self._reap()
         env = {k: v for k, v in os.environ.items()
                if not k.startswith(ENV_PREFIX)}
+        paths = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = os.pathsep.join([IMPORT_ROOT] + [
+            p for p in (paths.split(os.pathsep) if paths else ())
+            if p != IMPORT_ROOT])
         env.update(ticket_env)
         argv = [spec.program] + list(spec.args)
         import subprocess
@@ -173,6 +191,9 @@ class LocalProcessLauncher(Launcher):
             handle.wait(2.0)
         except subprocess.TimeoutExpired:
             handle.kill()
+
+    def exit_status(self, handle):
+        return handle.poll()
 
 
 class ThreadLauncher(Launcher):
@@ -196,8 +217,8 @@ class ThreadLauncher(Launcher):
 
 
 def spawn(group: Group, root: int, spec: SpawnSpec,
-          launcher: Optional[Launcher] = None,
-          timeout: Optional[float] = DEFAULT_TIMEOUT) -> InterGroup:
+          launcher: Launcher | None = None,
+          timeout: float | None = DEFAULT_TIMEOUT) -> InterGroup:
     """Collectively create ``spec.count`` children from ``root``.
 
     Either every child registers and all members return an InterGroup whose
@@ -212,8 +233,9 @@ def spawn(group: Group, root: int, spec: SpawnSpec,
         raise ValueError(f"root {root} out of range for group of {len(group.roster)}")
 
     deadline = Deadline.of(timeout)
-    digests = allgather(group, spec.digest(root), timeout=deadline)
-    width = hashlib.sha256().digest_size
+    mine = spec.digest(root)
+    digests = allgather(group, mine, timeout=deadline)
+    width = len(mine)
     if any(digests[i:i + width] != digests[:width]
            for i in range(0, len(digests), width)):
         raise ProtocolError("spawn arguments differ across members")
@@ -250,10 +272,14 @@ def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,
     failure the children that registered get the error, every launched child
     is stopped, and the error propagates: a SpawnError naming the missing
     child_index values once ``timeout`` (seconds or a Deadline) passes, a
-    ProtocolError on a bad or repeated registration.
+    SpawnError naming a child that exited without registering, a
+    ProtocolError on a bad or repeated registration. Once the launcher
+    reports a child exited, a registration it sent before exiting has one
+    more EXIT_POLL to arrive.
     """
     deadline = Deadline.of(timeout)
-    registered = {}
+    registered, exited = {}, {}
+    first = len(handles)
     try:
         for index in range(spec.count):
             ticket = BootstrapTicket(
@@ -266,14 +292,26 @@ def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,
             handles.append(launcher.launch(spec, index, ticket.to_env()))
 
         while len(registered) < spec.count:
+            remaining = deadline.remaining()
+            poll = EXIT_POLL if remaining is None else min(remaining, EXIT_POLL)
             try:
                 env = node.endpoint.recv(
-                    match_fields(tag=wire.TAG_SPAWN_REGISTER), deadline)
+                    match_fields(tag=wire.TAG_SPAWN_REGISTER), poll)
             except DeadlineExceeded:
                 missing = sorted(set(range(spec.count)) - set(registered))
-                raise SpawnError(
-                    "children failed to register before the deadline: "
-                    f"missing child_index values {missing}") from None
+                if deadline.expired():
+                    raise SpawnError(
+                        "children failed to register before the deadline: "
+                        f"missing child_index values {missing}") from None
+                for index in missing:
+                    if index in exited:
+                        raise SpawnError(
+                            f"child_index {index} exited with status "
+                            f"{exited[index]} before registering") from None
+                    status = launcher.exit_status(handles[first + index])
+                    if status is not None:
+                        exited[index] = status
+                continue
             msg = wire.parse_json_payload(env.payload)
             index = msg.get("child_index")
             if (type(index) is not int or not 0 <= index < spec.count
@@ -315,9 +353,9 @@ def _abort_children(node, epoch, root_rank, launcher, handles, registered, exc):
             pass
 
 
-def attach_parent(node: Optional[Node] = None,
-                  ticket: Optional[BootstrapTicket] = None,
-                  timeout: Optional[float] = DEFAULT_TIMEOUT) -> InterGroup:
+def attach_parent(node: Node | None = None,
+                  ticket: BootstrapTicket | None = None,
+                  timeout: float | None = DEFAULT_TIMEOUT) -> InterGroup:
     """Called by a child: register with the parent root the ticket names,
     receive both rosters, and return the child-side InterGroup. The driver,
     as the parent of the workers it starts, sends no parent roster."""

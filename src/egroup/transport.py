@@ -15,17 +15,17 @@ two threads at once.
 from __future__ import annotations
 
 import functools
-import logging
 import selectors
 import socket
 import threading
 from collections import deque
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from . import wire
 from .errors import (
     ConnectError,
     DeadlineExceeded,
+    DeferredLogger,
     DeliveryError,
     FencingError,
     ProtocolError,
@@ -34,7 +34,7 @@ from .errors import (
 )
 from .wire import Deadline, Envelope
 
-log = logging.getLogger(__name__)
+log = DeferredLogger(__name__)
 
 HANDSHAKE_TIMEOUT = 10.0
 RECV_BYTES = 64 * 1024
@@ -93,8 +93,8 @@ class Channel:
     """One live connection to a peer, created by connect() or accepted by the
     endpoint's I/O loop (whose peer is unknown until its hello arrives)."""
 
-    def __init__(self, sock: socket.socket, peer_id: Optional[str],
-                 initiator_id: Optional[str], endpoint: "Endpoint"):
+    def __init__(self, sock: socket.socket, peer_id: str | None,
+                 initiator_id: str | None, endpoint: "Endpoint"):
         self.sock = sock
         self.peer_id = peer_id
         self.initiator_id = initiator_id
@@ -122,7 +122,7 @@ class Channel:
             self.close()
             raise DeliveryError(f"send to {self.peer_id} failed: {exc}") from exc
 
-    def wait_reject(self, timeout: Optional[float] = None) -> Optional[dict]:
+    def wait_reject(self, timeout: float | None = None) -> dict | None:
         """Pop the oldest rejection notice from the peer, waiting if needed."""
         with self._notice_cond:
             self._notice_cond.wait_for(lambda: self._notices or self.closed, timeout)
@@ -195,8 +195,8 @@ class Endpoint:
 
     # -- connection management -------------------------------------------------
 
-    def connect(self, address: str, self_id: Optional[str] = None,
-                expect_id: Optional[str] = None,
+    def connect(self, address: str, self_id: str | None = None,
+                expect_id: str | None = None,
                 timeout=HANDSHAKE_TIMEOUT) -> Channel:
         """Open (or reuse) a channel to the endpoint listening at ``address``.
 
@@ -244,11 +244,11 @@ class Endpoint:
         self._watch_soon(channel)
         return self._adopt(channel)
 
-    def channel_to(self, peer_id: str) -> Optional[Channel]:
+    def channel_to(self, peer_id: str) -> Channel | None:
         with self._lock:
             return self.channels.get(peer_id)
 
-    def await_channel(self, peer_id: str, timeout) -> Optional[Channel]:
+    def await_channel(self, peer_id: str, timeout) -> Channel | None:
         """Wait up to ``timeout`` for a peer-initiated channel to ``peer_id``."""
         with self._chan_cond:
             self._chan_cond.wait_for(
@@ -425,8 +425,8 @@ class Endpoint:
 
     # -- receive side ----------------------------------------------------------
 
-    def recv(self, match: Optional[Callable[[Envelope], bool]] = None,
-             timeout: Optional[float] = None) -> Envelope:
+    def recv(self, match: Callable[[Envelope], bool] | None = None,
+             timeout: float | None = None) -> Envelope:
         """Return the oldest buffered envelope satisfying ``match``, blocking
         until one arrives. Non-matching envelopes from live epochs stay
         buffered."""
@@ -491,14 +491,14 @@ class Endpoint:
         return f"<Endpoint {self.identity} at {self.listen_address}>"
 
 
-def listen(address: str, identity: str, fencing: Optional[FencingState] = None) -> Endpoint:
+def listen(address: str, identity: str, fencing: FencingState | None = None) -> Endpoint:
     """Bind a listening endpoint; the resolved address (with the actual port)
     is available as ``endpoint.listen_address``."""
     return Endpoint(address, identity, fencing if fencing is not None else FencingState())
 
 
-def match_fields(epoch: Optional[int] = None, tag: Optional[int] = None,
-                 src_rank: Optional[int] = None) -> Callable[[Envelope], bool]:
+def match_fields(epoch: int | None = None, tag: int | None = None,
+                 src_rank: int | None = None) -> Callable[[Envelope], bool]:
     """Build a (epoch, tag, src_rank) predicate; None fields match anything."""
 
     def pred(e: Envelope) -> bool:

@@ -14,23 +14,27 @@ a missing or malformed bootstrap ticket, 1 on unexpected failure.
 
 from __future__ import annotations
 
-import logging
 import os
 import sys
 import time
-import traceback
 from threading import TIMEOUT_MAX
 
 from . import wire
 from .collectives import DEFAULT_TIMEOUT, allgather, barrier
-from .errors import EGroupError, NotSpawnedError, ProtocolError, error_fields
+from .errors import (
+    DeferredLogger,
+    EGroupError,
+    NotSpawnedError,
+    ProtocolError,
+    error_fields,
+)
 from .groups import RetirementToken, roster_digest
 from .scaling import init_new_process, scale_in, scale_out
 from .spawner import BootstrapTicket, LocalProcessLauncher
 from .transport import match_fields
 from .wire import Deadline, Envelope
 
-log = logging.getLogger(__name__)
+log = DeferredLogger(__name__)
 
 # Wide enough for any incarnation id; allgather blocks must share one width.
 ID_BLOCK_WIDTH = 128
@@ -166,6 +170,7 @@ def worker_main(argv=None, environ=None) -> int:
         _serve(group)
         status = 0
     except Exception:
+        import traceback
         traceback.print_exc()
         status = 1
     finally:

@@ -1,24 +1,33 @@
 """The package's import surface: lazy public names, and a worker that loads
 only the code it runs."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
 import egroup
+from egroup.driver import default_worker_command
+from egroup.spawner import IMPORT_ROOT
 
 # Modules a spawned worker never uses; importing any of them would add to
 # every child's start-up time.
 NOT_ON_WORKER_PATH = ("egroup.bench", "egroup.driver", "egroup.cli", "csv",
                       "uuid", "platform", "subprocess", "dataclasses",
-                      "inspect")
+                      "inspect", "logging", "typing", "hashlib", "traceback",
+                      "site")
 
 
 def test_worker_import_closure():
+    # The interpreter and flags a worker starts with, and the PYTHONPATH its
+    # launcher gives it.
+    command = default_worker_command()
+    assert command[-2:] == ["-m", "egroup.worker"]
     code = ("import egroup.worker, sys; "
             f"print(sorted(set({NOT_ON_WORKER_PATH!r}) & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    proc = subprocess.run(command[:-2] + ["-c", code], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": IMPORT_ROOT},
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import os
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -17,6 +18,7 @@ from egroup.spawner import (
     ENV_HOST_LABEL,
     ENV_PARENT_ADDR,
     ENV_PARENT_EPOCH,
+    IMPORT_ROOT,
     BootstrapTicket,
     LocalProcessLauncher,
     SpawnSpec,
@@ -310,6 +312,29 @@ class TestSpawnWithProcesses:
         assert first.returncode == 0
         assert second.wait(10) == 0
         launcher.stop(second)
+
+    def test_child_pythonpath_starts_with_the_import_root_once(
+            self, monkeypatch):
+        monkeypatch.setenv("PYTHONPATH",
+                           os.pathsep.join(["/elsewhere", IMPORT_ROOT]))
+        launcher = LocalProcessLauncher(stdout=subprocess.PIPE)
+        spec = SpawnSpec(program=sys.executable, args=(
+            "-c", "import os; print(os.environ['PYTHONPATH'])"))
+        proc = launcher.launch(spec, 0, {})
+        out, _ = proc.communicate(timeout=30)
+        assert out.decode().strip() == os.pathsep.join(
+            [IMPORT_ROOT, "/elsewhere"])
+
+    def test_child_that_exits_before_registering_fails_fast(self):
+        spec = SpawnSpec(program=sys.executable,
+                         args=("-c", "import sys; sys.exit(3)"))
+        with cluster(1) as groups:
+            start = time.monotonic()
+            with pytest.raises(SpawnError, match=r"child_index 0 exited "
+                                                 r"with status 3"):
+                spawn(groups[0], 0, spec, launcher=LocalProcessLauncher(),
+                      timeout=30)
+            assert time.monotonic() - start < 5
 
     def test_missing_executable_names_program(self):
         with cluster(1) as groups:

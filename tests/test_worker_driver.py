@@ -16,6 +16,7 @@ from egroup.spawner import (
     ENV_HOST_LABEL,
     ENV_PARENT_ADDR,
     ENV_PARENT_EPOCH,
+    IMPORT_ROOT,
 )
 from egroup.wire import Envelope
 
@@ -177,6 +178,37 @@ class TestFleet:
             assert None not in codes.values(), "a worker is still running"
         finally:
             drv.close()
+
+    def test_start_fleet_whose_worker_exits_fails_fast(self):
+        drv = Driver(worker_command=[sys.executable, "-c",
+                                     "import sys; sys.exit(3)"],
+                     timeout=30)
+        try:
+            start = time.monotonic()
+            with pytest.raises(SpawnError, match="exited with status 3"):
+                drv.start_fleet(2)
+            assert time.monotonic() - start < 5
+            assert drv.size == 0
+        finally:
+            drv.close()
+
+    def test_workers_find_egroup_without_help_from_the_environment(self, tmp_path):
+        # The driving process finds egroup through sys.path alone; its
+        # workers start without site and with no PYTHONPATH of their own.
+        code = (f"import sys\n"
+                f"sys.path.insert(0, {IMPORT_ROOT!r})\n"
+                f"from egroup.driver import Driver\n"
+                f"with Driver(timeout=30) as drv:\n"
+                f"    drv.start_fleet(2)\n"
+                f"    drv.scale_out(1)\n"
+                f"    print(sorted((m['rank'], m['size'], m['epoch'])\n"
+                f"                 for m in drv.ping().values()))\n")
+        env = {k: v for k, v in clean_env().items() if k != "PYTHONPATH"}
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[(0, 3, 1), (1, 3, 1), (2, 3, 1)]"
 
     def test_stop_exits_cleanly(self):
         with Driver(timeout=30) as drv:
