@@ -311,6 +311,7 @@ class Driver:
                 self.wait_for_exit(stopping, timeout=STOP_GRACE)
             for proc in self._procs:
                 self._launcher.stop(proc)
+            self._launcher.close()
             self.node.close()
 
     def __enter__(self):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import threading
 
-from . import wire
+from . import codeimage, wire
 from .collectives import DEFAULT_TIMEOUT, allgather, broadcast
 from .errors import DeadlineExceeded, NotSpawnedError, ProtocolError, SpawnError
 from .groups import Group, InterGroup, MemberDescriptor, Side
@@ -146,21 +146,37 @@ class Launcher:
 class LocalProcessLauncher(Launcher):
     """Run children as local subprocesses with the ticket in their environment.
 
-    Each child's PYTHONPATH starts with IMPORT_ROOT. Exited children are
-    reaped by polling at each launch and stop, the way subprocess reaps
-    abandoned Popen objects, so no thread waits on them. Keep one launcher
-    for the life of the spawning process. ``subprocess`` is imported on the
-    first launch or stop: only a spawning root needs it, and every spawned
-    worker would otherwise pay for it at start-up.
+    Each child's PYTHONPATH starts with IMPORT_ROOT, and each child gets the
+    launcher's code image (see ``codeimage``): its descriptor through
+    ``pass_fds`` and the descriptor's number in ``codeimage.ENV_FD``. At its
+    first launch the launcher takes the image this process was handed, or
+    else builds one from the egroup package under IMPORT_ROOT; close()
+    releases an image it built. Exited children are reaped by polling at
+    each launch and stop, the way subprocess reaps abandoned Popen objects,
+    so no thread waits on them. Keep one launcher for the life of the
+    spawning process. ``subprocess`` is imported on the first launch or
+    stop: only a spawning root needs it, and every spawned worker would
+    otherwise pay for it at start-up.
     """
 
     def __init__(self, stdout=None, stderr=None):
         self.stdout = stdout
         self.stderr = stderr
         self._children = []
+        self._image = None  # () when there is no image, else (descriptor,)
+        self._built = ()
 
     def _reap(self) -> None:
         self._children = [p for p in self._children if p.poll() is None]
+
+    def _image_fds(self) -> tuple:
+        if self._image is None:
+            if codeimage.adopted is not None:
+                self._image = (codeimage.adopted.fd,)
+            else:
+                fd = codeimage.build(os.path.join(IMPORT_ROOT, "egroup"))
+                self._image = self._built = () if fd is None else (fd,)
+        return self._image
 
     def launch(self, spec: SpawnSpec, index: int, ticket_env: dict):
         self._reap()
@@ -170,11 +186,14 @@ class LocalProcessLauncher(Launcher):
         env["PYTHONPATH"] = os.pathsep.join([IMPORT_ROOT] + [
             p for p in (paths.split(os.pathsep) if paths else ())
             if p != IMPORT_ROOT])
+        image = self._image_fds()
+        if image:
+            env[codeimage.ENV_FD] = str(image[0])
         env.update(ticket_env)
         argv = [spec.program] + list(spec.args)
         import subprocess
         try:
-            proc = subprocess.Popen(argv, env=env,
+            proc = subprocess.Popen(argv, env=env, pass_fds=image,
                                     stdout=self.stdout, stderr=self.stderr)
         except OSError as exc:
             raise SpawnError(f"cannot launch {spec.program}: {exc}") from exc
@@ -194,6 +213,13 @@ class LocalProcessLauncher(Launcher):
 
     def exit_status(self, handle):
         return handle.poll()
+
+    def close(self) -> None:
+        """Release the code image this launcher built; a later launch builds
+        a new one. Children already started keep their own descriptors."""
+        for fd in self._built:
+            os.close(fd)
+        self._image, self._built = None, ()
 
 
 class ThreadLauncher(Launcher):
@@ -245,7 +271,8 @@ def spawn(group: Group, root: int, spec: SpawnSpec,
             broadcast(group, root, b"", timeout=deadline.for_outcome())))
         remote = tuple(MemberDescriptor.from_json(m) for m in outcome["children"])
     else:
-        launcher = launcher if launcher is not None else LocalProcessLauncher()
+        own = launcher is None
+        launcher = LocalProcessLauncher() if own else launcher
         try:
             remote = launch_and_register(
                 node, spec, launcher, deadline, handles=[],
@@ -253,6 +280,9 @@ def spawn(group: Group, root: int, spec: SpawnSpec,
         except Exception as exc:
             broadcast(group, root, error_outcome(exc))
             raise
+        finally:
+            if own:
+                launcher.close()
         broadcast(group, root, ok_outcome(wire.json_payload(
             {"children": [m.to_json() for m in remote]})))
     return InterGroup(local_group=group, remote_roster=remote,

@@ -54,6 +54,15 @@ def _control(kind: str, frame_epoch: int = 0, /, **fields) -> Envelope:
                     payload=wire.json_payload({**fields, "kind": kind}))
 
 
+def _dial_error(deadline: Deadline, what: str,
+                cause) -> ConnectError | DeadlineExceeded:
+    """A dial or handshake that failed: DeadlineExceeded if the deadline has
+    passed, else ConnectError."""
+    if deadline.expired():
+        return DeadlineExceeded(f"{what}: deadline passed ({cause})")
+    return ConnectError(f"{what}: {cause}")
+
+
 class FencingState:
     """Process-local epoch bookkeeping shared by the endpoint and the groups.
 
@@ -203,15 +212,19 @@ class Endpoint:
         The handshake exchanges incarnation ids and current epochs; if the
         peer already holds a live channel for this pair, the duplicate is
         collapsed deterministically and the surviving channel is returned.
-        ``timeout`` (seconds or a Deadline) bounds the dial and handshake.
+        ``timeout`` (seconds or a Deadline) bounds the dial and handshake:
+        a failure once it has passed raises DeadlineExceeded, any other
+        failure to reach the peer ConnectError.
         """
         self_id = self_id if self_id is not None else self.identity
         epoch = self.fencing.current
         deadline = Deadline.of(timeout)
+        if deadline.expired():
+            raise DeadlineExceeded(f"deadline passed before dialing {address}")
         try:
             sock = socket.create_connection(parse_address(address), deadline.remaining())
         except OSError as exc:
-            raise ConnectError(f"cannot reach {address}: {exc}") from exc
+            raise _dial_error(deadline, f"cannot reach {address}", exc) from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(deadline.remaining())
         try:
@@ -220,7 +233,8 @@ class Endpoint:
             msg = wire.parse_json_payload(wire.read_envelope(sock).payload)
         except (OSError, ProtocolError) as exc:
             sock.close()
-            raise ConnectError(f"handshake with {address} failed: {exc}") from exc
+            raise _dial_error(deadline, f"handshake with {address} failed",
+                              exc) from exc
         kind, peer_id = msg.get("kind"), msg.get("incarnation_id")
         if kind != "hello_ok" or (expect_id is not None and peer_id != expect_id):
             sock.close()
@@ -229,7 +243,8 @@ class Endpoint:
                 survivor = self.await_channel(peer_id, deadline)
                 if survivor is not None:
                     return survivor
-                raise ConnectError(f"duplicate connect to {address} and no surviving channel")
+                raise _dial_error(deadline, f"duplicate connect to {address}",
+                                  "no surviving channel")
             raise FencingError(
                 f"peer at {address} rejected handshake: epoch {epoch} is stale "
                 f"(peer is at {msg.get('epoch')})",

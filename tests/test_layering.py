@@ -1,7 +1,8 @@
 """Module boundaries: no egroup module reaches into another's private names,
 only the spawner starts processes, and every wire tag has a user. Timeouts:
 no public call takes a ``*_timeout`` parameter, and no module raises a bare
-TimeoutError."""
+TimeoutError. Bytecode: no module writes any, or changes the caller's
+bytecode settings."""
 
 import ast
 import pathlib
@@ -179,3 +180,53 @@ def test_check_sees_bare_timeout_errors(tmp_path):
     assert list(bare_timeout_errors(sample)) == [
         "sample.py:3 raises TimeoutError", "sample.py:4 raises TimeoutError",
         "sample.py:5 raises TimeoutError"]
+
+
+BYTECODE_MODULES = ("py_compile", "compileall")
+BYTECODE_VARIABLES = ("PYTHONPYCACHEPREFIX", "PYTHONDONTWRITEBYTECODE")
+
+
+def bytecode_writes(path):
+    """Yield each import of a bytecode-writing module, each assignment to
+    ``sys.dont_write_bytecode``, and each use of a bytecode environment
+    variable's name as a string or keyword: egroup writes no bytecode and
+    leaves the caller's bytecode settings as they are."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in sorted(ast.walk(tree), key=lambda n: getattr(n, "lineno", 0)):
+        names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                 else [node.module] if isinstance(node, ast.ImportFrom)
+                 else [])
+        if any(n and n.split(".")[0] in BYTECODE_MODULES for n in names):
+            yield f"{path.name}:{node.lineno} imports {names[0]}"
+        if (isinstance(node, ast.Attribute)
+                and node.attr == "dont_write_bytecode"
+                and isinstance(node.ctx, ast.Store)):
+            yield f"{path.name}:{node.lineno} sets dont_write_bytecode"
+        name = (node.value if isinstance(node, ast.Constant)
+                else node.arg if isinstance(node, ast.keyword) else None)
+        if name in BYTECODE_VARIABLES:
+            yield f"{path.name}:{getattr(node, 'lineno', '?')} names {name}"
+
+
+def test_no_module_writes_bytecode():
+    found = [use for path in sorted(SRC.glob("*.py"))
+             for use in bytecode_writes(path)]
+    assert found == []
+
+
+def test_check_sees_bytecode_writes(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import py_compile\n"
+                      "from compileall import compile_dir\n"
+                      "import sys\n"
+                      "sys.dont_write_bytecode = False\n"
+                      "env = {'PYTHONPYCACHEPREFIX': '/tmp/x'}\n"
+                      "env['PYTHONDONTWRITEBYTECODE'] = ''\n"
+                      "env.update(PYTHONDONTWRITEBYTECODE='')\n"
+                      "print(sys.dont_write_bytecode)\n")
+    assert list(bytecode_writes(sample)) == [
+        "sample.py:1 imports py_compile", "sample.py:2 imports compileall",
+        "sample.py:4 sets dont_write_bytecode",
+        "sample.py:5 names PYTHONPYCACHEPREFIX",
+        "sample.py:6 names PYTHONDONTWRITEBYTECODE",
+        "sample.py:7 names PYTHONDONTWRITEBYTECODE"]

@@ -9,14 +9,14 @@ import pytest
 
 import egroup
 from egroup.driver import default_worker_command
-from egroup.spawner import IMPORT_ROOT
+from egroup.spawner import IMPORT_ROOT, LocalProcessLauncher, SpawnSpec
 
 # Modules a spawned worker never uses; importing any of them would add to
 # every child's start-up time.
 NOT_ON_WORKER_PATH = ("egroup.bench", "egroup.driver", "egroup.cli", "csv",
                       "uuid", "platform", "subprocess", "dataclasses",
                       "inspect", "logging", "typing", "hashlib", "traceback",
-                      "site")
+                      "site", "contextlib", "importlib.util")
 
 
 def test_worker_import_closure():
@@ -31,6 +31,24 @@ def test_worker_import_closure():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_worker_import_closure_with_code_image():
+    # The same, in a child that the launcher starts with its code image.
+    command = default_worker_command()
+    code = ("import egroup.worker, sys; "
+            f"print(sorted(set({NOT_ON_WORKER_PATH!r}) & set(sys.modules)), "
+            "egroup.codeimage.adopted is not None)")
+    launcher = LocalProcessLauncher(stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE)
+    try:
+        proc = launcher.launch(SpawnSpec(
+            program=command[0], args=command[1:-2] + ["-c", code]), 0, {})
+        out, err = proc.communicate(timeout=60)
+    finally:
+        launcher.close()
+    assert proc.returncode == 0, err.decode()
+    assert out.decode().strip() == "[] True"
 
 
 @pytest.mark.parametrize("name", egroup.__all__)

@@ -1,6 +1,8 @@
 """Spawn, registration, and child bootstrap."""
 
+import json
 import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -9,8 +11,9 @@ import time
 
 import pytest
 
-from egroup import Node, Side, ThreadLauncher, wire
+from egroup import Node, Side, ThreadLauncher, codeimage, spawner, wire
 from egroup.collectives import allgather
+from egroup.driver import Driver
 from egroup.errors import ConnectError, NotSpawnedError, ProtocolError, SpawnError
 from egroup.spawner import (
     ENV_CHILD_COUNT,
@@ -23,6 +26,7 @@ from egroup.spawner import (
     LocalProcessLauncher,
     SpawnSpec,
     attach_parent,
+    launch_and_register,
     spawn,
 )
 
@@ -344,3 +348,100 @@ class TestSpawnWithProcesses:
                       launcher=LocalProcessLauncher(),
                       timeout=5.0)
             assert "/no/such/binary" in str(excinfo.value)
+
+
+# A child that records every egroup source it compiles, imports the worker,
+# registers with its parent and reports what it compiled, which egroup
+# modules it loaded, and wire.MARKER.
+IMAGE_PROBE = """
+import builtins, json, os, sys
+compiled = []
+real_compile = builtins.compile
+def compile(source, filename, *args, **kwargs):
+    if os.sep + "egroup" + os.sep in filename:
+        compiled.append(os.path.basename(filename))
+    return real_compile(source, filename, *args, **kwargs)
+builtins.compile = compile
+import egroup.worker
+from egroup import wire
+from egroup.spawner import attach_parent
+attach_parent(timeout=30).local_group.node.close()
+print(json.dumps({
+    "compiled": sorted(compiled),
+    "loaded": sorted(os.path.basename(m.__file__) for name, m in
+                     sys.modules.items() if name.split(".")[0] == "egroup"),
+    "marker": getattr(wire, "MARKER", None)}))
+"""
+
+
+def run_probe(launcher, *flags):
+    """Launch IMAGE_PROBE through ``launcher`` as the child of a fresh node;
+    returns its report once it has registered and exited."""
+    handles = []
+    spec = SpawnSpec(program=sys.executable,
+                     args=(*flags, "-S", "-c", IMAGE_PROBE))
+    with Node(host_label="h") as node:
+        launch_and_register(node, spec, launcher, 30, handles=handles)
+        out, err = handles[0].communicate(timeout=30)
+    assert handles[0].returncode == 0, err.decode()
+    return json.loads(out)
+
+
+@pytest.fixture
+def piped_launcher():
+    launcher = LocalProcessLauncher(stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE)
+    yield launcher
+    launcher.close()
+
+
+FROM_SOURCE_ONLY = ["__init__.py", "codeimage.py"]
+
+
+class TestCodeImage:
+    def test_child_takes_every_egroup_module_from_the_image(
+            self, piped_launcher):
+        report = run_probe(piped_launcher)
+        assert "worker.py" in report["loaded"]
+        assert report["compiled"] == FROM_SOURCE_ONLY
+
+    def test_changed_module_runs_its_new_source(self, piped_launcher,
+                                                tmp_path, monkeypatch):
+        shutil.copytree(os.path.join(IMPORT_ROOT, "egroup"),
+                        tmp_path / "egroup",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(spawner, "IMPORT_ROOT", str(tmp_path))
+        first = run_probe(piped_launcher)  # builds the image from the copy
+        assert (first["compiled"], first["marker"]) == (FROM_SOURCE_ONLY, None)
+        with open(tmp_path / "egroup" / "wire.py", "a") as f:
+            f.write("MARKER = 'new'\n")
+        second = run_probe(piped_launcher)
+        assert second["compiled"] == FROM_SOURCE_ONLY + ["wire.py"]
+        assert second["marker"] == "new"
+
+    @pytest.mark.parametrize("foreign", ["tag", "magic", "optimize"])
+    def test_foreign_header_is_ignored(self, piped_launcher, foreign):
+        run_probe(piped_launcher)  # builds the image
+        flags = ()
+        if foreign == "optimize":
+            flags = ("-O",)
+        else:
+            offset = (0 if foreign == "tag" else
+                      codeimage.HEADER.index(codeimage.MAGIC_NUMBER))
+            byte = os.pread(piped_launcher._image[0], 1, offset)
+            os.pwrite(piped_launcher._image[0], bytes([byte[0] ^ 0xFF]),
+                      offset)
+        report = run_probe(piped_launcher, *flags)
+        assert report["compiled"] == report["loaded"]
+
+    def test_driver_close_releases_the_image(self):
+        def cycle():
+            with Driver(timeout=30) as driver:
+                driver.start_fleet(1)
+                driver.ping()
+
+        cycle()  # first use: lazy imports
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            cycle()
+        assert len(os.listdir("/proc/self/fd")) == before

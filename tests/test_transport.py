@@ -7,7 +7,13 @@ import time
 import pytest
 
 from egroup import transport, wire
-from egroup.errors import ConnectError, DeliveryError, SetupError, ShutdownError
+from egroup.errors import (
+    ConnectError,
+    DeadlineExceeded,
+    DeliveryError,
+    SetupError,
+    ShutdownError,
+)
 from egroup.transport import (
     Endpoint,
     FencingState,
@@ -69,6 +75,32 @@ def test_connect_to_closed_port_is_connect_error():
             b.connect(addr)
     finally:
         b.close()
+
+
+def test_connect_after_the_deadline_is_deadline_exceeded():
+    a, b = make_endpoint("a"), make_endpoint("b")
+    try:
+        with pytest.raises(DeadlineExceeded):
+            a.connect(b.listen_address, timeout=wire.Deadline.of(-1.0))
+        assert b.channel_to("a") is None
+    finally:
+        a.close()
+        b.close()
+
+
+def test_handshake_that_outlives_the_deadline_is_deadline_exceeded():
+    # A listener that accepts but never answers the hello.
+    silent = socket.create_server(("127.0.0.1", 0))
+    a = make_endpoint("a")
+    try:
+        host, port = silent.getsockname()
+        start = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            a.connect(f"{host}:{port}", timeout=0.5)
+        assert 0.4 < time.monotonic() - start < 3.0
+    finally:
+        silent.close()
+        a.close()
 
 
 def test_send_recv_happy_path():
