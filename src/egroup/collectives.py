@@ -1,14 +1,15 @@
 """Collective operations over a group: barrier, broadcast, allgather, split,
 and the inter-to-intra merge.
 
-``allgather`` is the one gather-and-publish star: rank 0 gathers a
-fixed-width block from every member and publishes the concatenation.
-``barrier`` and ``split`` are thin callers of it. The merge is coordinated by
-the spawning root, which gathers one hello per member and publishes one
-outcome, the merged epoch or an error, identical for every member. Every
-live member must invoke the same collective, with compatible arguments, in
-the same order; the per-epoch tag counters rely on that lockstep to keep
-concurrent operations from colliding.
+``gather_decide`` is the one star: a root gathers one block per member and
+publishes one outcome, ``decide``'s result or its error, to every member.
+``allgather`` (with ``barrier`` and ``split`` on top), ``broadcast`` and
+``spawner.spawn`` are rounds of it. The merge is coordinated by the spawning
+root, which gathers one hello per member and publishes one outcome, the
+merged epoch or an error, identical for every member. Every live member must
+invoke the same collective, with compatible arguments, in the same order;
+the per-epoch tag counters rely on that lockstep to keep concurrent
+operations from colliding.
 """
 
 from __future__ import annotations
@@ -56,23 +57,56 @@ def barrier(group: Group, timeout: float | None = DEFAULT_TIMEOUT) -> None:
     allgather(group, b"", timeout=timeout)
 
 
-def broadcast(group: Group, root: int, payload: bytes,
-              timeout: float | None = DEFAULT_TIMEOUT) -> bytes:
-    """Distribute root's payload; every member returns it."""
+def gather_decide(group: Group, root: int, block: bytes, decide,
+                  timeout: float | None = DEFAULT_TIMEOUT) -> bytes:
+    """The one star: ``root`` gathers one block per member and publishes
+    ``decide(blocks)``, blocks in rank order, to every member, which returns
+    those bytes. If the gather or ``decide`` raises, the root publishes the
+    error instead and re-raises, so every member raises it."""
     node = _node_of(group)
     n = len(group.roster)
     if not (0 <= root < n):
         raise ValueError(f"root {root} out of range for group of {n}")
-    tag = node.next_collective_tag(group.epoch)
+    deadline = Deadline.of(timeout)
+    tag_gather = node.next_collective_tag(group.epoch)
+    tag_publish = node.next_collective_tag(group.epoch)
+    block = bytes(block)
+    if group.my_rank != root:
+        node.send(group, root, tag_gather, block)
+        reply = node.recv_on(group, tag_publish, src_rank=root,
+                             timeout=deadline.for_outcome())
+        return unwrap_outcome(reply.payload)
+
+    others = [rank for rank in range(n) if rank != root]
+    blocks = [block] * n
+    try:
+        for src in others:
+            blocks[src] = node.recv_on(group, tag_gather, src_rank=src,
+                                       timeout=deadline).payload
+        result = bytes(decide(blocks))
+    except Exception as exc:
+        for dst in others:
+            node.send(group, dst, tag_publish, error_outcome(exc))
+        raise
+    for dst in others:
+        node.send(group, dst, tag_publish, ok_outcome(result))
+    return result
+
+
+def broadcast(group: Group, root: int, payload: bytes,
+              timeout: float | None = DEFAULT_TIMEOUT) -> bytes:
+    """Distribute root's payload; every member returns it once every member
+    has entered."""
     payload = bytes(payload)
-    if n == 1:
-        return payload
-    if group.my_rank == root:
-        for dst in range(n):
-            if dst != root:
-                node.send(group, dst, tag, payload)
-        return payload
-    return node.recv_on(group, tag, src_rank=root, timeout=timeout).payload
+    return gather_decide(group, root, b"", lambda _: payload, timeout)
+
+
+def _joined(blocks: list) -> bytes:
+    widths = {len(b) for b in blocks}
+    if len(widths) != 1:
+        raise ProtocolError(
+            f"allgather width disagreement: saw block sizes {sorted(widths)}")
+    return b"".join(blocks)
 
 
 def allgather(group: Group, block: bytes,
@@ -80,38 +114,7 @@ def allgather(group: Group, block: bytes,
     """Gather one fixed-width block per member; every member returns the
     rank-ordered concatenation. All members must supply the same width.
     If rank 0's deadline passes first, every member raises DeadlineExceeded."""
-    node = _node_of(group)
-    deadline = Deadline.of(timeout)
-    tag_gather = node.next_collective_tag(group.epoch)
-    tag_publish = node.next_collective_tag(group.epoch)
-    block = bytes(block)
-    n = len(group.roster)
-    if n == 1:
-        return block
-
-    if group.my_rank != 0:
-        node.send(group, 0, tag_gather, block)
-        reply = node.recv_on(group, tag_publish, src_rank=0,
-                             timeout=deadline.for_outcome())
-        return unwrap_outcome(reply.payload)
-
-    blocks = [block] + [b""] * (n - 1)
-    try:
-        for src in range(1, n):
-            blocks[src] = node.recv_on(group, tag_gather, src_rank=src,
-                                       timeout=deadline).payload
-        widths = {len(b) for b in blocks}
-        if len(widths) != 1:
-            raise ProtocolError(
-                f"allgather width disagreement: saw block sizes {sorted(widths)}")
-    except (DeadlineExceeded, ProtocolError) as exc:
-        for dst in range(1, n):
-            node.send(group, dst, tag_publish, error_outcome(exc))
-        raise
-    result = b"".join(blocks)
-    for dst in range(1, n):
-        node.send(group, dst, tag_publish, ok_outcome(result))
-    return result
+    return gather_decide(group, 0, block, _joined, timeout)
 
 
 def partition_by_color(entries) -> dict:

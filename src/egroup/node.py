@@ -34,6 +34,9 @@ class Node:
         self._tag_counters = {}
         # Set by init_new_process: a parent link can be merged only once.
         self.merged_with_parent = False
+        # spawn's LocalProcessLauncher when it is given none: made on first
+        # use, kept to reap children and reuse its code image, closed here.
+        self.launcher = None
 
     @property
     def listen_address(self) -> str:
@@ -115,6 +118,8 @@ class Node:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
+        if self.launcher is not None:
+            self.launcher.close()
         self.endpoint.close()
 
     def __enter__(self):

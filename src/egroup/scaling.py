@@ -117,7 +117,7 @@ def scale_out(old_group: Group, num_add: int, child_program: str,
     deadline = Deadline.of(timeout)
     barrier(old_group, timeout=deadline)
     start = time.perf_counter()
-    inter = spawn(old_group, 0, spec, launcher=launcher, timeout=deadline)
+    inter = spawn(old_group, spec, launcher=launcher, timeout=deadline)
     spawn_s = time.perf_counter() - start
     new_group = merge(inter, high=False, timeout=deadline)
     if phases is not None:

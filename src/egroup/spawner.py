@@ -1,5 +1,7 @@
 """Runtime process creation: launch children, register them with the spawning
-root, and link both sides as an InterGroup ready to merge. The driver starts
+root, and link both sides as an InterGroup ready to merge. ``spawn`` is one
+round of ``collectives.gather_decide`` at rank 0, which checks that every
+member asked for the same children and then launches them. The driver starts
 the initial fleet through the same launch and registration loop, as the
 spawn root of epoch 0 with no parent roster.
 
@@ -15,7 +17,7 @@ import os
 import threading
 
 from . import codeimage, wire
-from .collectives import DEFAULT_TIMEOUT, allgather, broadcast
+from .collectives import DEFAULT_TIMEOUT, gather_decide
 from .errors import DeadlineExceeded, NotSpawnedError, ProtocolError, SpawnError
 from .groups import Group, InterGroup, MemberDescriptor, Side
 from .node import Node
@@ -57,13 +59,12 @@ class SpawnSpec(wire.Value):
                 f"count {count}")
         self._init_fields(program, args, count, host_labels)
 
-    def digest(self, root: int) -> bytes:
+    def digest(self) -> bytes:
         body = wire.json_payload({
             "program": self.program,
             "args": list(self.args),
             "count": self.count,
             "host_labels": list(self.host_labels) if self.host_labels else None,
-            "root": root,
         })
         import hashlib
         return hashlib.sha256(body).digest()
@@ -154,9 +155,9 @@ class LocalProcessLauncher(Launcher):
     releases an image it built. Exited children are reaped by polling at
     each launch and stop, the way subprocess reaps abandoned Popen objects,
     so no thread waits on them. Keep one launcher for the life of the
-    spawning process. ``subprocess`` is imported on the first launch or
-    stop: only a spawning root needs it, and every spawned worker would
-    otherwise pay for it at start-up.
+    spawning process, as ``Node.launcher`` does. ``subprocess`` is imported
+    on the first launch or stop: only a spawning root needs it, and every
+    spawned worker would otherwise pay for it at start-up.
     """
 
     def __init__(self, stdout=None, stderr=None):
@@ -242,51 +243,38 @@ class ThreadLauncher(Launcher):
         pass  # threads cannot be cancelled; targets are expected to finish
 
 
-def spawn(group: Group, root: int, spec: SpawnSpec,
+def spawn(group: Group, spec: SpawnSpec,
           launcher: Launcher | None = None,
           timeout: float | None = DEFAULT_TIMEOUT) -> InterGroup:
-    """Collectively create ``spec.count`` children from ``root``.
+    """Collectively create ``spec.count`` children from rank 0.
 
-    Either every child registers and all members return an InterGroup whose
-    remote roster lists the children in child_index order, or the whole
-    operation fails with a spawn error; never a partial inter-group. One
-    deadline bounds the whole call, the children's registration included.
+    One star round: every member sends rank 0 its ``spec.digest()``, and
+    rank 0 launches only when every digest matches, else every member raises
+    ProtocolError. Either every child registers and all members return an
+    InterGroup whose remote roster lists the children in child_index order,
+    or the whole operation fails with the same error everywhere; never a
+    partial inter-group. One deadline bounds the whole call, the children's
+    registration included. Only rank 0's ``launcher`` is used; without one,
+    rank 0 uses its node's ``launcher``, made on first use.
     """
-    node = group.node
-    if node is None:
-        raise ValueError("group is not bound to a node")
-    if not (0 <= root < len(group.roster)):
-        raise ValueError(f"root {root} out of range for group of {len(group.roster)}")
-
     deadline = Deadline.of(timeout)
-    mine = spec.digest(root)
-    digests = allgather(group, mine, timeout=deadline)
-    width = len(mine)
-    if any(digests[i:i + width] != digests[:width]
-           for i in range(0, len(digests), width)):
-        raise ProtocolError("spawn arguments differ across members")
 
-    if group.my_rank != root:
-        outcome = wire.parse_json_payload(unwrap_outcome(
-            broadcast(group, root, b"", timeout=deadline.for_outcome())))
-        remote = tuple(MemberDescriptor.from_json(m) for m in outcome["children"])
-    else:
-        own = launcher is None
-        launcher = LocalProcessLauncher() if own else launcher
-        try:
-            remote = launch_and_register(
-                node, spec, launcher, deadline, handles=[],
-                epoch=group.epoch, parents=group.roster, root_rank=group.my_rank)
-        except Exception as exc:
-            broadcast(group, root, error_outcome(exc))
-            raise
-        finally:
-            if own:
-                launcher.close()
-        broadcast(group, root, ok_outcome(wire.json_payload(
-            {"children": [m.to_json() for m in remote]})))
+    def launch(digests: list) -> bytes:
+        if any(d != digests[0] for d in digests):
+            raise ProtocolError("spawn arguments differ across members")
+        node = group.node
+        if launcher is None and node.launcher is None:
+            node.launcher = LocalProcessLauncher()
+        remote = launch_and_register(
+            node, spec, launcher or node.launcher, deadline, handles=[],
+            epoch=group.epoch, parents=group.roster, root_rank=0)
+        return wire.json_payload({"children": [m.to_json() for m in remote]})
+
+    outcome = wire.parse_json_payload(
+        gather_decide(group, 0, spec.digest(), launch, deadline))
+    remote = tuple(MemberDescriptor.from_json(m) for m in outcome["children"])
     return InterGroup(local_group=group, remote_roster=remote,
-                      side=Side.PARENT, parent_root_rank=root)
+                      side=Side.PARENT, parent_root_rank=0)
 
 
 def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,

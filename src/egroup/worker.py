@@ -30,7 +30,7 @@ from .errors import (
 )
 from .groups import RetirementToken, roster_digest
 from .scaling import init_new_process, scale_in, scale_out
-from .spawner import BootstrapTicket, LocalProcessLauncher
+from .spawner import BootstrapTicket
 from .transport import match_fields
 from .wire import Deadline, Envelope
 
@@ -65,7 +65,7 @@ def _position(group) -> dict:
             "epoch": group.epoch}
 
 
-def _execute(group, cmd: dict, launcher):
+def _execute(group, cmd: dict):
     """Run one driver command. Returns the group to serve next (None after
     stop or retirement) and the reply body. The command's optional
     ``timeout`` field bounds the collectives it runs (DEFAULT_TIMEOUT
@@ -105,7 +105,7 @@ def _execute(group, cmd: dict, launcher):
         group = scale_out(
             group, cmd["num_add"], cmd["child_program"],
             cmd.get("host_labels"), child_args=cmd.get("child_args", ()),
-            launcher=launcher, timeout=timeout, phases=phases)
+            timeout=timeout, phases=phases)
         return group, {
             "total_s": time.perf_counter() - start,
             "spawn_s": phases.get("spawn_s", 0.0),
@@ -127,9 +127,6 @@ def _serve(group) -> None:
     """Execute driver commands until stop or retirement, answering each on
     the channel it came in on."""
     node = group.node
-    # One launcher for every scale-out, so it can reap the children it
-    # started in earlier ones.
-    launcher = LocalProcessLauncher()
     while group is not None:
         cmd_env, channel = node.endpoint.recv_with_channel(
             match_fields(tag=wire.TAG_DRIVER_CMD))
@@ -139,7 +136,7 @@ def _serve(group) -> None:
             log.warning("dropping malformed driver command: %s", exc)
             continue
         try:
-            group, body = _execute(group, cmd, launcher)
+            group, body = _execute(group, cmd)
             body["ok"] = True
         except EGroupError as exc:
             body = {"ok": False, **error_fields(exc)}

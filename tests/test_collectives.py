@@ -137,6 +137,23 @@ class TestBroadcast:
             with pytest.raises(ValueError):
                 broadcast(groups[0], 5, b"")
 
+    def test_missing_member_times_out_everywhere(self):
+        # Rank 3 never enters: the root gives up at its 1 s deadline and
+        # tells the members that entered, which would otherwise wait 1.5 s.
+        timeout = 1.0
+        with cluster(4) as groups:
+            def member(group):
+                if group.my_rank == 3:
+                    return None
+                start = time.monotonic()
+                with pytest.raises(DeadlineExceeded):
+                    broadcast(group, 1, b"from-one", timeout=timeout)
+                return time.monotonic() - start
+
+            elapsed = run_members(member, groups)
+            assert all(e < timeout + 0.5 for e in elapsed if e is not None), \
+                elapsed
+
 
 class TestAllgather:
     def test_concatenates_in_rank_order(self):
@@ -385,7 +402,7 @@ class TestMerge:
 
             def parent(group):
                 launcher = ThreadLauncher(child) if group.my_rank == 0 else None
-                inter = spawn(group, 0, SpawnSpec(program="-", count=1),
+                inter = spawn(group, SpawnSpec(program="-", count=1),
                               launcher=launcher)
                 start = time.monotonic()
                 with pytest.raises(ProtocolError, match="unknown member"):
@@ -436,8 +453,8 @@ class TestMerge:
 
 
 class TestOneStar:
-    """barrier and split run on allgather's star, and the merge publishes
-    one outcome that carries only the epoch."""
+    """barrier, split and spawn each take one round of gather_decide's
+    star, and the merge publishes one outcome that carries only the epoch."""
 
     @pytest.fixture
     def sent(self, monkeypatch):
@@ -463,6 +480,27 @@ class TestOneStar:
             run_members(lambda group: split(
                 group, SplitKey(color=group.my_rank % 2, key=0)), groups)
             assert len(sent) == 2 * (n - 1)
+
+    def test_spawn_sends_two_frames_per_non_root(self, sent):
+        n = 4
+        attached = threading.Event()
+
+        def child(env):
+            ticket = BootstrapTicket.from_env(env)
+            with Node(host_label=ticket.host_label) as node:
+                attach_parent(node, ticket, timeout=30)
+            attached.set()
+
+        with cluster(n) as groups:
+            run_members(lambda group: allgather(group, b"x"), groups)
+            sent.clear()
+            run_members(lambda group: spawn(
+                group, SpawnSpec(program="-", count=1),
+                launcher=ThreadLauncher(child)), groups)
+            assert attached.wait(30)
+        star = [e for e in sent
+                if wire.TAG_COLL_BASE <= e.tag < wire.TAG_SPAWN_REGISTER]
+        assert len(star) == 2 * (n - 1)
 
     def test_merge_outcome_is_the_same_bytes_for_every_member(self, sent):
         with cluster(2) as parents, cluster(3) as children:

@@ -1,5 +1,6 @@
 """Module boundaries: no egroup module reaches into another's private names,
-only the spawner starts processes, and every wire tag has a user. Timeouts:
+only the spawner starts processes, every wire tag has a user, and group
+messages travel only through ``gather_decide``'s star. Timeouts:
 no public call takes a ``*_timeout`` parameter, and no module raises a bare
 TimeoutError. Bytecode: no module writes any, or changes the caller's
 bytecode settings."""
@@ -106,6 +107,44 @@ def test_check_sees_unused_tags(tmp_path):
                     "TAG_B\n")
     assert list(unused_tags(wire_sample, [user])) == [
         "wire.py:3 defines unused TAG_C"]
+
+
+def star_calls(path, allowed=()):
+    """Yield each ``node.send`` or ``node.recv_on`` call outside the
+    module-level functions named in ``allowed``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = {id(node) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name in allowed
+              for node in ast.walk(fn)}
+    for node in sorted(ast.walk(tree), key=lambda n: getattr(n, "lineno", 0)):
+        if (isinstance(node, ast.Call) and id(node) not in inside
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("send", "recv_on")
+                and "node" in (getattr(node.func.value, "id", None),
+                               getattr(node.func.value, "attr", None))):
+            yield f"{path.name}:{node.lineno} calls node.{node.func.attr}"
+
+
+def test_group_messages_go_through_one_star():
+    found = list(star_calls(SRC / "collectives.py", allowed=("gather_decide",)))
+    found += [call for name in ("spawner", "scaling")
+              for call in star_calls(SRC / f"{name}.py")]
+    assert found == []
+
+
+def test_check_sees_star_calls(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("def gather_decide(node, g):\n"
+                      "    node.send(g, 0, 16, b'')\n"
+                      "def broadcast(node, group, member, env):\n"
+                      "    node.send(group, 1, 16, b'')\n"
+                      "    group.node.recv_on(group, 16)\n"
+                      "    node.send_to(member, env)\n"
+                      "    node.endpoint.connect('a:1').send(env)\n"
+                      "node.recv_on(g, 17)\n")
+    assert list(star_calls(sample, allowed=("gather_decide",))) == [
+        "sample.py:4 calls node.send", "sample.py:5 calls node.recv_on",
+        "sample.py:8 calls node.recv_on"]
 
 
 def _public(name):

@@ -181,7 +181,7 @@ class TestScaleOut:
 
         before = set(threading.enumerate())
         with cluster(1) as groups:
-            inter = spawn(groups[0], 0, SpawnSpec(program="-", count=1),
+            inter = spawn(groups[0], SpawnSpec(program="-", count=1),
                           launcher=ThreadLauncher(child))
             with pytest.raises(ProtocolError):
                 merge(inter, high=True)

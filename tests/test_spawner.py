@@ -47,7 +47,7 @@ class TestSpawnSpec:
     def test_digest_is_deterministic(self):
         a = SpawnSpec(program="p", args=("--x",), count=2)
         b = SpawnSpec(program="p", args=("--x",), count=2)
-        assert a.digest(0) == b.digest(0)
+        assert a.digest() == b.digest()
 
     def test_digest_covers_every_field(self):
         base = SpawnSpec(program="p", args=("--x",), count=2,
@@ -60,9 +60,8 @@ class TestSpawnSpec:
             SpawnSpec(program="p", args=("--x",), count=2,
                       host_labels=("a", "c")),
         ]
-        digests = {base.digest(0)} | {v.digest(0) for v in variants}
+        digests = {base.digest()} | {v.digest() for v in variants}
         assert len(digests) == 4
-        assert base.digest(0) != base.digest(1)
 
     def test_label_fallback(self):
         spec = SpawnSpec(program="p", count=2)
@@ -166,7 +165,7 @@ class TestSpawnWithThreads:
                 launcher = ThreadLauncher(recorder.target)
 
                 def member(group):
-                    return spawn(group, 0, spec,
+                    return spawn(group, spec,
                                  launcher=launcher if group.my_rank == 0
                                  else None)
 
@@ -197,7 +196,7 @@ class TestSpawnWithThreads:
         recorder = ChildRecorder(register_delay=lambda i: (2 - i) * 0.15)
         try:
             with cluster(1) as groups:
-                inter = spawn(groups[0], 0, SpawnSpec(program="-", count=3),
+                inter = spawn(groups[0], SpawnSpec(program="-", count=3),
                               launcher=ThreadLauncher(recorder.target))
                 recorder.wait(3)
                 assert not recorder.errors
@@ -214,7 +213,7 @@ class TestSpawnWithThreads:
             with cluster(1) as groups:
                 spec = SpawnSpec(program="-", count=2,
                                  host_labels=("rack1", "rack2"))
-                inter = spawn(groups[0], 0, spec,
+                inter = spawn(groups[0], spec,
                               launcher=ThreadLauncher(recorder.target))
                 recorder.wait(2)
                 assert [m.host_label for m in inter.remote_roster] == \
@@ -229,7 +228,7 @@ class TestSpawnWithThreads:
         try:
             with cluster(1) as groups:
                 with pytest.raises(SpawnError) as excinfo:
-                    spawn(groups[0], 0, SpawnSpec(program="-", count=3),
+                    spawn(groups[0], SpawnSpec(program="-", count=3),
                           launcher=ThreadLauncher(recorder.target),
                           timeout=1.5)
                 assert "[1]" in str(excinfo.value)
@@ -243,20 +242,21 @@ class TestSpawnWithThreads:
             recorder.close()
 
     def test_spec_disagreement_fails_everywhere(self):
-        with cluster(2) as groups:
+        launched = []
+        with cluster(3) as groups:
             def member(group):
-                spec = SpawnSpec(program=f"p{group.my_rank}", count=1)
-                with pytest.raises(ProtocolError):
-                    spawn(group, 0, spec, launcher=ThreadLauncher(lambda e: None))
+                spec = SpawnSpec(program=f"p{group.my_rank % 2}", count=1)
+                start = time.monotonic()
+                with pytest.raises(ProtocolError, match="differ"):
+                    spawn(group, spec, launcher=ThreadLauncher(launched.append))
+                elapsed = time.monotonic() - start
                 # The old group must still work afterwards.
-                return allgather(group, bytes([group.my_rank]))
+                return elapsed, allgather(group, bytes([group.my_rank]))
 
-            assert run_members(member, groups) == [b"\x00\x01"] * 2
-
-    def test_root_out_of_range(self):
-        with cluster(1) as groups:
-            with pytest.raises(ValueError):
-                spawn(groups[0], 3, SpawnSpec(program="-", count=1))
+            results = run_members(member, groups)
+        assert [gathered for _, gathered in results] == [b"\x00\x01\x02"] * 3
+        assert all(elapsed < 2.0 for elapsed, _ in results), results
+        assert launched == []
 
     def test_registration_without_descriptor_is_protocol_error(self):
         done = threading.Event()
@@ -274,7 +274,7 @@ class TestSpawnWithThreads:
         try:
             with cluster(1) as groups:
                 with pytest.raises(ProtocolError, match="descriptor"):
-                    spawn(groups[0], 0, SpawnSpec(program="-", count=1),
+                    spawn(groups[0], SpawnSpec(program="-", count=1),
                           launcher=ThreadLauncher(child),
                           timeout=10.0)
                 assert allgather(groups[0], b"ok") == b"ok"
@@ -336,14 +336,34 @@ class TestSpawnWithProcesses:
             start = time.monotonic()
             with pytest.raises(SpawnError, match=r"child_index 0 exited "
                                                  r"with status 3"):
-                spawn(groups[0], 0, spec, launcher=LocalProcessLauncher(),
+                spawn(groups[0], spec, launcher=LocalProcessLauncher(),
                       timeout=30)
             assert time.monotonic() - start < 5
+
+    def test_spawn_without_launcher_keeps_one_per_node(self, monkeypatch):
+        # A root handed no code image builds one at its first spawn, keeps
+        # it for the next, and releases it when its node closes.
+        builds = []
+        build = codeimage.build
+        monkeypatch.setattr(codeimage, "adopted", None)
+        monkeypatch.setattr(codeimage, "build",
+                            lambda path: builds.append(path) or build(path))
+        spec = SpawnSpec(program=sys.executable,
+                         args=("-S", "-c", "raise SystemExit(3)"))
+        before = len(os.listdir("/proc/self/fd"))
+        with cluster(1) as groups:
+            for _ in range(2):
+                start = time.monotonic()
+                with pytest.raises(SpawnError, match="status 3"):
+                    spawn(groups[0], spec, timeout=30)
+                assert time.monotonic() - start < 5
+        assert len(builds) == 1
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_missing_executable_names_program(self):
         with cluster(1) as groups:
             with pytest.raises(SpawnError) as excinfo:
-                spawn(groups[0], 0,
+                spawn(groups[0],
                       SpawnSpec(program="/no/such/binary", count=1),
                       launcher=LocalProcessLauncher(),
                       timeout=5.0)
