@@ -3,13 +3,12 @@ and the inter-to-intra merge.
 
 ``gather_decide`` is the one star: a root gathers one block per member and
 publishes one outcome, ``decide``'s result or its error, to every member.
-``allgather`` (with ``barrier`` and ``split`` on top), ``broadcast`` and
-``spawner.spawn`` are rounds of it. The merge is coordinated by the spawning
-root, which gathers one hello per member and publishes one outcome, the
-merged epoch or an error, identical for every member. Every live member must
-invoke the same collective, with compatible arguments, in the same order;
-the per-epoch tag counters rely on that lockstep to keep concurrent
-operations from colliding.
+``allgather`` (with ``barrier`` and ``split`` on top), ``broadcast``,
+``spawner.spawn`` and ``merge`` are rounds of it. The merge's star spans
+both sides, parents first, so its root is the spawning parent; it gathers
+one high flag per member. Every live member must invoke the same collective,
+with compatible arguments, in the same order; the per-epoch tag counters
+rely on that lockstep to keep concurrent operations from colliding.
 """
 
 from __future__ import annotations
@@ -17,10 +16,9 @@ from __future__ import annotations
 import struct
 
 from . import wire
-from .errors import DeadlineExceeded, ProtocolError
+from .errors import DeadlineExceeded, EGroupError, ProtocolError
 from .groups import Group, InterGroup, RetirementToken, Side
-from .transport import match_fields
-from .wire import Deadline, Envelope, error_outcome, ok_outcome, unwrap_outcome
+from .wire import Deadline, error_outcome, ok_outcome, unwrap_outcome
 
 DEFAULT_TIMEOUT = 120.0
 
@@ -58,18 +56,21 @@ def barrier(group: Group, timeout: float | None = DEFAULT_TIMEOUT) -> None:
 
 
 def gather_decide(group: Group, root: int, block: bytes, decide,
-                  timeout: float | None = DEFAULT_TIMEOUT) -> bytes:
+                  timeout: float | None = DEFAULT_TIMEOUT,
+                  tags: tuple | None = None) -> bytes:
     """The one star: ``root`` gathers one block per member and publishes
     ``decide(blocks)``, blocks in rank order, to every member, which returns
     those bytes. If the gather or ``decide`` raises, the root publishes the
-    error instead and re-raises, so every member raises it."""
+    error instead and re-raises, so every member raises it. ``tags`` fixes
+    the (gather, publish) tag pair; by default the round draws the next two
+    collective tags of the group's epoch."""
     node = _node_of(group)
     n = len(group.roster)
     if not (0 <= root < n):
         raise ValueError(f"root {root} out of range for group of {n}")
     deadline = Deadline.of(timeout)
-    tag_gather = node.next_collective_tag(group.epoch)
-    tag_publish = node.next_collective_tag(group.epoch)
+    tag_gather, tag_publish = tags or (node.next_collective_tag(group.epoch),
+                                       node.next_collective_tag(group.epoch))
     block = bytes(block)
     if group.my_rank != root:
         node.send(group, root, tag_gather, block)
@@ -79,17 +80,23 @@ def gather_decide(group: Group, root: int, block: bytes, decide,
 
     others = [rank for rank in range(n) if rank != root]
     blocks = [block] * n
+    error = None
     try:
         for src in others:
             blocks[src] = node.recv_on(group, tag_gather, src_rank=src,
                                        timeout=deadline).payload
         result = bytes(decide(blocks))
+        outcome = ok_outcome(result)
     except Exception as exc:
-        for dst in others:
-            node.send(group, dst, tag_publish, error_outcome(exc))
-        raise
+        error, outcome = exc, error_outcome(exc)
+    # A member that cannot be reached does not keep the rest waiting.
     for dst in others:
-        node.send(group, dst, tag_publish, ok_outcome(result))
+        try:
+            node.send(group, dst, tag_publish, outcome)
+        except EGroupError as exc:
+            error = error or exc
+    if error is not None:
+        raise error
     return result
 
 
@@ -160,102 +167,56 @@ def split(group: Group, key: SplitKey, retiring_color: int | None = None,
 
 def merge(inter: InterGroup, high: bool,
           timeout: float | None = DEFAULT_TIMEOUT) -> Group:
-    """Collapse both sides of an inter-group into one group.
+    """Collapse both sides of an inter-group into one group at epoch+1.
 
     The side that passes high=False keeps ranks 0..n_low-1 in its prior
-    order; the high side follows. Channels to every other member are
-    established before return, so the merged group can communicate
-    immediately. Consumes the inter-group.
+    order; the high side follows. One star round over both sides, parents
+    first, checks that each side agrees on its flag and exactly one side is
+    high; otherwise every member raises ProtocolError. Channels to every
+    other member are established before return, so the merged group can
+    communicate immediately. Consumes the inter-group.
     """
     if inter.consumed:
         raise ProtocolError("inter-group already consumed by a previous merge")
     inter.consumed = True
     node = _node_of(inter.local_group)
     deadline = Deadline.of(timeout)
-    local = inter.local_group
+    local, remote = inter.local_group, inter.remote_roster
     if inter.side is Side.PARENT:
-        coordinator = local.member(inter.parent_root_rank)
+        parents, children, star_rank = local.roster, remote, local.my_rank
     else:
-        coordinator = inter.remote_roster[inter.parent_root_rank]
-    i_coordinate = coordinator.incarnation_id == node.incarnation_id
+        parents, children = remote, local.roster
+        star_rank = len(parents) + local.my_rank
+    star = Group(local.epoch, parents + children, star_rank, node=node)
+
+    def check(flags: list) -> bytes:
+        for rank, flag in enumerate(flags):
+            if flag not in (b"\x00", b"\x01"):
+                raise ProtocolError(
+                    f"malformed merge hello from star rank {rank}: {flag!r}")
+        sides = {Side.PARENT: set(flags[:len(parents)]),
+                 Side.CHILD: set(flags[len(parents):])}
+        for side, side_flags in sides.items():
+            if len(side_flags) > 1:
+                raise ProtocolError(
+                    f"{side.value} members disagree on the high flag")
+        if sides[Side.PARENT] == sides[Side.CHILD]:
+            raise ProtocolError(
+                f"both sides of the merge passed high={bool(flags[0][0])}; "
+                "exactly one side must be high")
+        return b""
 
     high = bool(high)
-    hello = wire.json_payload({"id": node.incarnation_id, "side": inter.side.value,
-                               "high": high, "epoch": local.epoch})
-    if i_coordinate:
-        epoch = _coordinate_merge(node, inter, hello, deadline)
-    else:
-        node.send_to(coordinator, Envelope(
-            epoch=local.epoch, tag=wire.TAG_MERGE_HELLO,
-            src_rank=local.my_rank, dst_rank=wire.NO_RANK, payload=hello))
-        outcome = node.endpoint.recv(
-            match_fields(tag=wire.TAG_MERGE_OUTCOME),
-            timeout=deadline.for_outcome())
-        epoch = wire.parse_json_payload(unwrap_outcome(outcome.payload))["epoch"]
+    gather_decide(star, 0, bytes([high]), check, deadline,
+                  tags=(wire.TAG_MERGE_HELLO, wire.TAG_MERGE_OUTCOME))
 
     # The low side comes first; both rosters are already known here.
-    rosters = (local.roster, inter.remote_roster)
+    rosters = (local.roster, remote)
     new_group = node.make_group(
-        epoch, rosters[high] + rosters[not high],
-        local.my_rank + (len(inter.remote_roster) if high else 0))
+        local.epoch + 1, rosters[high] + rosters[not high],
+        local.my_rank + (len(remote) if high else 0))
     _establish_mesh(node, new_group, deadline)
     return new_group
-
-
-def _coordinate_merge(node, inter: InterGroup, own_hello: bytes,
-                      deadline: Deadline) -> int:
-    """Run by the parent-side root: gather one hello per member on both
-    sides, validate them, and publish one outcome to every other member: the
-    merged epoch, or the error (a bad hello, or the deadline passing).
-    Returns the merged epoch."""
-    sides = {Side.PARENT.value: inter.local_group.roster,
-             Side.CHILD.value: inter.remote_roster}
-    by_id = {m.incarnation_id: m for members in sides.values() for m in members}
-    hellos = {node.incarnation_id: wire.parse_json_payload(own_hello)}
-    try:
-        while len(hellos) < len(by_id):
-            env = node.endpoint.recv(match_fields(tag=wire.TAG_MERGE_HELLO),
-                                     timeout=deadline)
-            msg = wire.parse_json_payload(env.payload)
-            if not (isinstance(msg.get("id"), str) and msg["id"] in by_id):
-                raise ProtocolError(
-                    f"merge hello from unknown member {msg.get('id')!r}")
-            hellos[msg["id"]] = msg
-        error = _check_hellos(sides, hellos)
-    except (DeadlineExceeded, ProtocolError) as exc:
-        error = exc
-    new_epoch = 1 + max(h["epoch"] for h in hellos.values()
-                        if type(h.get("epoch")) is int)
-    payload = (ok_outcome(wire.json_payload({"epoch": new_epoch}))
-               if error is None else error_outcome(error))
-    envelope = Envelope(epoch=new_epoch, tag=wire.TAG_MERGE_OUTCOME,
-                        src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-                        payload=payload)
-    for member_id, member in by_id.items():
-        if member_id != node.incarnation_id:
-            node.send_to(member, envelope)
-    if error is not None:
-        raise error
-    return new_epoch
-
-
-def _check_hellos(sides: dict, hellos: dict) -> ProtocolError | None:
-    """The error the merge must publish, or None when exactly one side is
-    high and every hello is well formed."""
-    for member_id, msg in hellos.items():
-        if type(msg.get("high")) is not bool or type(msg.get("epoch")) is not int:
-            return ProtocolError(f"malformed merge hello from {member_id!r}: {msg!r}")
-    flags = {}
-    for side_name, members in sides.items():
-        side_flags = {hellos[m.incarnation_id]["high"] for m in members}
-        if len(side_flags) > 1:
-            return ProtocolError(f"{side_name} members disagree on the high flag")
-        flags[side_name] = side_flags.pop()
-    if flags[Side.PARENT.value] == flags[Side.CHILD.value]:
-        return ProtocolError(
-            "both sides of the merge passed high="
-            f"{flags[Side.PARENT.value]}; exactly one side must be high")
-    return None
 
 
 def _establish_mesh(node, group: Group, deadline: Deadline) -> None:

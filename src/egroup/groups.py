@@ -136,30 +136,26 @@ class Side(enum.Enum):
 
 
 class InterGroup(Value):
-    """A parent/child linkage produced by spawn, before merging.
-
-    ``parent_root_rank`` is the rank, in the parent-side local group, of the
-    member that performed the spawn; it coordinates the merge and children
-    registered through it.
+    """A parent/child linkage produced by spawn, before merging. Rank 0 of
+    the parent side performed the spawn; the children registered with it,
+    and it is the root of the merge.
 
     Single use: merging consumes it. ``consumed`` is the one field that may be
     assigned after construction; equality ignores it, and the value is not
     hashable.
     """
 
-    __slots__ = ("local_group", "remote_roster", "side", "parent_root_rank",
-                 "consumed")
-    _compare = ("local_group", "remote_roster", "side", "parent_root_rank")
+    __slots__ = ("local_group", "remote_roster", "side", "consumed")
+    _compare = ("local_group", "remote_roster", "side")
     __hash__ = None
 
     def __init__(self, local_group: Group, remote_roster: tuple, side: Side,
-                 parent_root_rank: int = 0, consumed: bool = False):
+                 consumed: bool = False):
         local_ids = {m.incarnation_id for m in local_group.roster}
         remote_ids = {m.incarnation_id for m in remote_roster}
         if local_ids & remote_ids:
             raise ValueError("local and remote rosters overlap")
-        self._init_fields(local_group, remote_roster, side, parent_root_rank,
-                          consumed)
+        self._init_fields(local_group, remote_roster, side, consumed)
 
     def __setattr__(self, name, value):
         if name == "consumed":

@@ -15,7 +15,7 @@ from . import wire
 from .errors import DeliveryError, FencingError, RetiredGroupError
 from .groups import Group, MemberDescriptor, new_incarnation_id
 from .transport import HANDSHAKE_TIMEOUT, Endpoint, FencingState, match_fields
-from .wire import Envelope
+from .wire import Deadline, Envelope
 
 DEFAULT_BIND = "127.0.0.1:0"
 
@@ -89,12 +89,19 @@ class Node:
                               src_rank=group.my_rank, dst_rank=dst_rank,
                               payload=payload))
 
-    def recv_on(self, group: Group, tag: int, src_rank: int | None = None,
+    def recv_on(self, group: Group, tag: int, src_rank: int,
                 timeout: float | None = None) -> Envelope:
+        """Receive ``group``'s next envelope with ``tag`` from ``src_rank``.
+        One that names the rank but came on another member's channel, such
+        as a leftover of an earlier attempt at this epoch, is dropped."""
         self.check_group_live(group)
-        return self.endpoint.recv(
-            match_fields(epoch=group.epoch, tag=tag, src_rank=src_rank),
-            timeout=timeout)
+        deadline = Deadline.of(timeout)
+        sender = group.member(src_rank).incarnation_id
+        match = match_fields(epoch=group.epoch, tag=tag, src_rank=src_rank)
+        while True:
+            envelope, channel = self.endpoint.recv_with_channel(match, deadline)
+            if channel.peer_id == sender:
+                return envelope
 
     def check_group_live(self, group: Group) -> None:
         if self.fencing.is_retired(group.epoch):

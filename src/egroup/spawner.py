@@ -1,9 +1,10 @@
 """Runtime process creation: launch children, register them with the spawning
 root, and link both sides as an InterGroup ready to merge. ``spawn`` is one
 round of ``collectives.gather_decide`` at rank 0, which checks that every
-member asked for the same children and then launches them. The driver starts
-the initial fleet through the same launch and registration loop, as the
-spawn root of epoch 0 with no parent roster.
+member asked for the same children and then launches them. Rank 0 is also
+the root of the merge that follows, so the inter-group does not record it.
+The driver starts the initial fleet through the same launch and
+registration loop, as the spawn root of epoch 0 with no parent roster.
 
 Host placement is emulated: children are local processes that receive their
 logical host label through the bootstrap environment, so multi-host layouts
@@ -267,24 +268,22 @@ def spawn(group: Group, spec: SpawnSpec,
             node.launcher = LocalProcessLauncher()
         remote = launch_and_register(
             node, spec, launcher or node.launcher, deadline, handles=[],
-            epoch=group.epoch, parents=group.roster, root_rank=0)
+            epoch=group.epoch, parents=group.roster)
         return wire.json_payload({"children": [m.to_json() for m in remote]})
 
     outcome = wire.parse_json_payload(
         gather_decide(group, 0, spec.digest(), launch, deadline))
     remote = tuple(MemberDescriptor.from_json(m) for m in outcome["children"])
-    return InterGroup(local_group=group, remote_roster=remote,
-                      side=Side.PARENT, parent_root_rank=0)
+    return InterGroup(local_group=group, remote_roster=remote, side=Side.PARENT)
 
 
 def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,
                         timeout, *, handles: list, epoch: int = 0,
-                        parents: tuple = (), root_rank: int = wire.NO_RANK,
-                        ) -> tuple:
+                        parents: tuple = ()) -> tuple:
     """Launch ``spec.count`` children whose tickets name ``node`` at
     ``epoch``, wait for every one to register, and answer each with the
-    ``parents`` roster, its siblings and ``root_rank``. Returns the children
-    in child_index order.
+    ``parents`` roster and its siblings. Returns the children in
+    child_index order.
 
     Every launcher handle is appended to ``handles`` as it starts. On any
     failure the children that registered get the error, every launched child
@@ -338,30 +337,28 @@ def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,
                     f"registration with bad or repeated child_index {index!r}")
             registered[index] = MemberDescriptor.from_json(msg.get("descriptor"))
     except Exception as exc:
-        _abort_children(node, epoch, root_rank, launcher, handles, registered,
-                        exc)
+        _abort_children(node, epoch, launcher, handles, registered, exc)
         raise
 
     remote = tuple(registered[i] for i in range(spec.count))
     reply = ok_outcome(wire.json_payload({
         "parents": [m.to_json() for m in parents],
         "children": [m.to_json() for m in remote],
-        "parent_root_rank": root_rank,
     }))
     for member in remote:
         node.send_to(member, Envelope(
             epoch=epoch, tag=wire.TAG_SPAWN_REPLY,
-            src_rank=root_rank, dst_rank=wire.NO_RANK, payload=reply))
+            src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK, payload=reply))
     return remote
 
 
-def _abort_children(node, epoch, root_rank, launcher, handles, registered, exc):
+def _abort_children(node, epoch, launcher, handles, registered, exc):
     payload = error_outcome(SpawnError(f"spawn aborted: {exc}"))
     for member in registered.values():
         try:
             node.send_to(member, Envelope(
                 epoch=epoch, tag=wire.TAG_SPAWN_REPLY,
-                src_rank=root_rank, dst_rank=wire.NO_RANK, payload=payload))
+                src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK, payload=payload))
         except Exception:
             pass
     for handle in handles:
@@ -403,8 +400,7 @@ def attach_parent(node: Node | None = None,
         local = node.make_group(ticket.parent_epoch, siblings,
                                 ticket.child_index)
         return InterGroup(local_group=local, remote_roster=parents,
-                          side=Side.CHILD,
-                          parent_root_rank=outcome["parent_root_rank"])
+                          side=Side.CHILD)
     except BaseException:
         if created:
             node.close()

@@ -197,6 +197,25 @@ class TestAllgather:
             elapsed = run_members(member, groups)
             assert all(e <= timeout + 0.5 for e in elapsed), elapsed
 
+    def test_unreachable_member_does_not_stop_the_publish(self):
+        # Rank 1's node is closed. Rank 0 gives up at its 1 s deadline and
+        # must still tell rank 2, which would otherwise wait 20 s, and raise
+        # its own DeadlineExceeded, not the failed send to rank 1.
+        with cluster(3) as groups:
+            groups[1].node.close()
+
+            def member(group):
+                if group.my_rank == 1:
+                    return None
+                start = time.monotonic()
+                with pytest.raises(DeadlineExceeded):
+                    allgather(group, b"x",
+                              timeout=1.0 if group.my_rank == 0 else 20.0)
+                return time.monotonic() - start
+
+            elapsed = run_members(member, groups)
+            assert all(e < 1.5 for e in elapsed if e is not None), elapsed
+
 
 class TestSplit:
     def test_uniform_color_is_epoch_bump(self):
@@ -291,10 +310,10 @@ def make_intergroups(parent_groups, child_groups):
     inters = []
     for g in parent_groups:
         inters.append(InterGroup(local_group=g, remote_roster=child_roster,
-                                 side=Side.PARENT, parent_root_rank=0))
+                                 side=Side.PARENT))
     for g in child_groups:
         inters.append(InterGroup(local_group=g, remote_roster=parent_roster,
-                                 side=Side.CHILD, parent_root_rank=0))
+                                 side=Side.CHILD))
     return inters
 
 
@@ -305,7 +324,7 @@ class TestMerge:
 
             def member(inter):
                 high = inter.side is Side.CHILD
-                merged = merge(inter, high=high)
+                merged = merge(inter, high=high, timeout=10)
                 ids = tuple(m.incarnation_id for m in merged.roster)
                 return (merged.epoch, merged.my_rank, ids)
 
@@ -329,7 +348,7 @@ class TestMerge:
             inters = make_intergroups(parents, children)
 
             def member(inter):
-                merged = merge(inter, high=inter.side is Side.CHILD)
+                merged = merge(inter, high=inter.side is Side.CHILD, timeout=10)
                 return allgather(merged, f"r{merged.my_rank}".encode())
 
             results = run_members(member, inters)
@@ -344,84 +363,44 @@ class TestMerge:
                 high = (inter.side is Side.CHILD
                         and inter.local_group.my_rank == 0)
                 with pytest.raises(ProtocolError):
-                    merge(inter, high=high)
+                    merge(inter, high=high, timeout=10)
                 return True
 
             assert run_members(member, inters) == [True, True, True]
 
-    @pytest.mark.parametrize("bad", [{"high": "yes"}, {"high": None},
-                                     {"epoch": "x"}, {"epoch": 0.5}],
-                             ids=["high-str", "high-missing", "epoch-str",
-                                  "epoch-float"])
+    @pytest.mark.parametrize("bad", [b"\x02", b"", b"\x01\x01"],
+                             ids=["high-two", "high-missing", "high-two-bytes"])
     def test_malformed_hello_fails_every_member(self, bad):
         with cluster(2) as parents, cluster(1) as children:
             inters = make_intergroups(parents, children)
 
             def parent(inter):
-                with pytest.raises(ProtocolError, match="malformed merge hello"):
-                    merge(inter, high=False)
-                return True
-
-            def child(inter):
-                # Hand-sent in place of merge(), so the hello can be malformed.
-                node = inter.local_group.node
-                hello = {"id": node.incarnation_id, "side": Side.CHILD.value,
-                         "high": True, "epoch": 0, **bad}
-                hello = {k: v for k, v in hello.items() if v is not None}
-                node.send_to(inter.remote_roster[0], Envelope(
-                    epoch=0, tag=wire.TAG_MERGE_HELLO, src_rank=0,
-                    dst_rank=wire.NO_RANK, payload=wire.json_payload(hello)))
-                outcome = node.endpoint.recv(
-                    match_fields(tag=wire.TAG_MERGE_OUTCOME), timeout=30)
-                with pytest.raises(ProtocolError, match="malformed merge hello"):
-                    wire.unwrap_outcome(outcome.payload)
-                return True
-
-            assert run_members([parent, parent, child], inters) == [True] * 3
-
-    def test_hello_from_a_stranger_fails_every_member(self):
-        # Two parents spawn one child, which hand-sends a hello naming an id
-        # on neither roster, or an id that is not a string; every member
-        # must fail at once, not time out.
-        for stranger in ("stranger", ["x"]):
-            child_outcomes = []
-
-            def child(env):
-                ticket = BootstrapTicket.from_env(env)
-                with Node(host_label=ticket.host_label) as node:
-                    inter = attach_parent(node, ticket, timeout=30)
-                    hello = {"id": stranger, "side": Side.CHILD.value,
-                             "high": True, "epoch": 0}
-                    node.send_to(inter.remote_roster[0], Envelope(
-                        epoch=0, tag=wire.TAG_MERGE_HELLO, src_rank=0,
-                        dst_rank=wire.NO_RANK,
-                        payload=wire.json_payload(hello)))
-                    outcome = node.endpoint.recv(
-                        match_fields(tag=wire.TAG_MERGE_OUTCOME), timeout=30)
-                    child_outcomes.append(outcome.payload)
-
-            def parent(group):
-                launcher = ThreadLauncher(child) if group.my_rank == 0 else None
-                inter = spawn(group, SpawnSpec(program="-", count=1),
-                              launcher=launcher)
                 start = time.monotonic()
-                with pytest.raises(ProtocolError, match="unknown member"):
-                    merge(inter, high=False, timeout=3.0)
+                with pytest.raises(ProtocolError, match="malformed merge hello"):
+                    merge(inter, high=False, timeout=10)
                 return time.monotonic() - start
 
-            with cluster(2) as parents:
-                elapsed = run_members(parent, parents)
-            assert elapsed[1] < 1.5, \
-                f"{stranger!r}: rank 1 took {elapsed[1]:.2f}s to fail"
-            deadline = time.monotonic() + 10
-            while not child_outcomes and time.monotonic() < deadline:
-                time.sleep(0.01)
-            with pytest.raises(ProtocolError, match="unknown member"):
-                wire.unwrap_outcome(child_outcomes[0])
+            def child(inter):
+                # Hand-sent in place of merge(), so the flag can be malformed:
+                # the child is rank 2 of the merge's star, parents first.
+                node = inter.local_group.node
+                start = time.monotonic()
+                node.send_to(inter.remote_roster[0], Envelope(
+                    epoch=0, tag=wire.TAG_MERGE_HELLO, src_rank=2,
+                    dst_rank=0, payload=bad))
+                outcome = node.endpoint.recv(
+                    match_fields(epoch=0, tag=wire.TAG_MERGE_OUTCOME,
+                                 src_rank=0), timeout=10)
+                with pytest.raises(ProtocolError, match="malformed merge hello"):
+                    wire.unwrap_outcome(outcome.payload)
+                return time.monotonic() - start
+
+            elapsed = run_members([parent, parent, child], inters)
+            assert all(e < 2.0 for e in elapsed), elapsed
 
     def test_coordinator_deadline_fails_every_member(self):
         # Child rank 1 never says hello. The coordinator gives up at its own
-        # 1 s deadline and tells the members that would still wait 30 s.
+        # 1 s deadline and tells the members that would still wait 10 s.
         with cluster(2) as parents, cluster(2) as children:
             inters = make_intergroups(parents, children)
 
@@ -433,28 +412,69 @@ class TestMerge:
                 start = time.monotonic()
                 with pytest.raises(DeadlineExceeded):
                     merge(inter, high=inter.side is Side.CHILD,
-                          timeout=1.0 if coordinator else 30.0)
+                          timeout=1.0 if coordinator else 10.0)
                 return time.monotonic() - start
 
             elapsed = run_members(member, inters)
             assert all(e < 2.0 for e in elapsed if e is not None), elapsed
+
+    def test_merge_can_be_retried_after_a_failed_one(self):
+        # Child 0 never merges, so the first merge fails everywhere. The
+        # parents' group still works, and a merge with fresh children at
+        # the same epoch succeeds. The first attempt leaves child 1's hello
+        # buffered at the root; fresh child 1 enters late, and no member may
+        # return before it has entered, as it would if the root took that
+        # leftover for star rank 3.
+        with cluster(2) as parents, cluster(2) as children, \
+                cluster(2) as fresh:
+            def failing(inter):
+                if inter.side is Side.CHILD and inter.local_group.my_rank == 0:
+                    return None
+                root = (inter.side is Side.PARENT
+                        and inter.local_group.my_rank == 0)
+                with pytest.raises(DeadlineExceeded):
+                    merge(inter, high=inter.side is Side.CHILD,
+                          timeout=1.0 if root else 10.0)
+                return True
+
+            assert run_members(failing, make_intergroups(parents, children)) \
+                == [True, True, None, True]
+            assert run_members(lambda group: allgather(group, b"x", timeout=10),
+                               parents) == [b"xx"] * 2
+
+            late_entry = []
+
+            def member(inter):
+                if inter.side is Side.CHILD and inter.local_group.my_rank == 1:
+                    time.sleep(0.5)
+                    late_entry.append(time.monotonic())
+                merged = merge(inter, high=inter.side is Side.CHILD, timeout=10)
+                returned = time.monotonic()
+                block = bytes([merged.my_rank])
+                return (merged.epoch, merged.my_rank,
+                        allgather(merged, block, timeout=10), returned)
+
+            results = run_members(member, make_intergroups(parents, fresh))
+            assert [r[:3] for r in results] == [
+                (1, rank, bytes(range(4))) for rank in range(4)]
+            assert all(r[3] > late_entry[0] for r in results), results
 
     def test_consumed_intergroup_rejected(self):
         with cluster(1) as parents, cluster(1) as children:
             inters = make_intergroups(parents, children)
 
             def member(inter):
-                merge(inter, high=inter.side is Side.CHILD)
+                merge(inter, high=inter.side is Side.CHILD, timeout=10)
                 with pytest.raises(ProtocolError):
-                    merge(inter, high=inter.side is Side.CHILD)
+                    merge(inter, high=inter.side is Side.CHILD, timeout=10)
                 return True
 
             assert run_members(member, inters) == [True, True]
 
 
 class TestOneStar:
-    """barrier, split and spawn each take one round of gather_decide's
-    star, and the merge publishes one outcome that carries only the epoch."""
+    """barrier, split, spawn and merge each take one round of
+    gather_decide's star: two frames per non-root member."""
 
     @pytest.fixture
     def sent(self, monkeypatch):
@@ -502,13 +522,11 @@ class TestOneStar:
                 if wire.TAG_COLL_BASE <= e.tag < wire.TAG_SPAWN_REGISTER]
         assert len(star) == 2 * (n - 1)
 
-    def test_merge_outcome_is_the_same_bytes_for_every_member(self, sent):
+    def test_merge_sends_two_frames_per_non_root(self, sent):
         with cluster(2) as parents, cluster(3) as children:
             inters = make_intergroups(parents, children)
-            run_members(lambda inter: merge(inter, high=inter.side is Side.CHILD),
-                        inters)
-        outcomes = [e.payload for e in sent if e.tag == wire.TAG_MERGE_OUTCOME]
-        assert len(outcomes) == 4
-        assert len(set(outcomes)) == 1
-        assert wire.parse_json_payload(wire.unwrap_outcome(outcomes[0])) == \
-            {"epoch": 1}
+            run_members(lambda inter: merge(
+                inter, high=inter.side is Side.CHILD, timeout=10), inters)
+        star = [e for e in sent if e.tag in (wire.TAG_MERGE_HELLO,
+                                             wire.TAG_MERGE_OUTCOME)]
+        assert len(star) == 2 * (5 - 1)

@@ -152,7 +152,7 @@ class TestInterGroup:
         roster = roster_of(4)
         g = Group(epoch=0, roster=roster[:2], my_rank=0)
         inter = InterGroup(local_group=g, remote_roster=roster[2:],
-                           side=Side.CHILD, parent_root_rank=0)
+                           side=Side.CHILD)
         assert inter.side is Side.CHILD
         assert not inter.consumed
 

@@ -109,9 +109,16 @@ def test_check_sees_unused_tags(tmp_path):
         "wire.py:3 defines unused TAG_C"]
 
 
-def star_calls(path, allowed=()):
-    """Yield each ``node.send`` or ``node.recv_on`` call outside the
-    module-level functions named in ``allowed``."""
+# Star calls, by method name: the name the called object must carry.
+GROUP_CALLS = {"send": "node", "recv_on": "node"}
+# Messages outside any group; collectives.py sends none outside the star.
+CONTROL_CALLS = {"send_to": "node", "recv": "endpoint"}
+
+
+def star_calls(path, allowed=(), calls=GROUP_CALLS):
+    """Yield each call of a method in ``calls`` on an object so named, such
+    as ``node.send`` or ``group.node.recv_on``, outside the module-level
+    functions named in ``allowed``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     inside = {id(node) for fn in tree.body
               if isinstance(fn, ast.FunctionDef) and fn.name in allowed
@@ -119,14 +126,17 @@ def star_calls(path, allowed=()):
     for node in sorted(ast.walk(tree), key=lambda n: getattr(n, "lineno", 0)):
         if (isinstance(node, ast.Call) and id(node) not in inside
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("send", "recv_on")
-                and "node" in (getattr(node.func.value, "id", None),
-                               getattr(node.func.value, "attr", None))):
-            yield f"{path.name}:{node.lineno} calls node.{node.func.attr}"
+                and node.func.attr in calls
+                and calls[node.func.attr] in (
+                    getattr(node.func.value, "id", None),
+                    getattr(node.func.value, "attr", None))):
+            owner = calls[node.func.attr]
+            yield f"{path.name}:{node.lineno} calls {owner}.{node.func.attr}"
 
 
 def test_group_messages_go_through_one_star():
-    found = list(star_calls(SRC / "collectives.py", allowed=("gather_decide",)))
+    found = list(star_calls(SRC / "collectives.py", allowed=("gather_decide",),
+                            calls={**GROUP_CALLS, **CONTROL_CALLS}))
     found += [call for name in ("spawner", "scaling")
               for call in star_calls(SRC / f"{name}.py")]
     assert found == []
@@ -141,10 +151,17 @@ def test_check_sees_star_calls(tmp_path):
                       "    group.node.recv_on(group, 16)\n"
                       "    node.send_to(member, env)\n"
                       "    node.endpoint.connect('a:1').send(env)\n"
-                      "node.recv_on(g, 17)\n")
+                      "node.recv_on(g, 17)\n"
+                      "node.endpoint.recv(None, 1)\n"
+                      "node.endpoint.await_channel('a', 1)\n")
     assert list(star_calls(sample, allowed=("gather_decide",))) == [
         "sample.py:4 calls node.send", "sample.py:5 calls node.recv_on",
         "sample.py:8 calls node.recv_on"]
+    assert list(star_calls(sample, allowed=("gather_decide",),
+                           calls={**GROUP_CALLS, **CONTROL_CALLS})) == [
+        "sample.py:4 calls node.send", "sample.py:5 calls node.recv_on",
+        "sample.py:6 calls node.send_to", "sample.py:8 calls node.recv_on",
+        "sample.py:9 calls endpoint.recv"]
 
 
 def _public(name):

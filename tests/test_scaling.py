@@ -184,7 +184,7 @@ class TestScaleOut:
             inter = spawn(groups[0], SpawnSpec(program="-", count=1),
                           launcher=ThreadLauncher(child))
             with pytest.raises(ProtocolError):
-                merge(inter, high=True)
+                merge(inter, high=True, timeout=10)
             assert finished.wait(30)
         assert [type(exc) for exc in errors] == [ProtocolError]
         assert not [t for t in set(threading.enumerate()) - before

@@ -176,13 +176,11 @@ class TestSpawnWithThreads:
                 parent_roster = groups[0].roster
                 for inter in inters:
                     assert inter.side is Side.PARENT
-                    assert inter.parent_root_rank == 0
                     assert len(inter.remote_roster) == 3
                 assert inters[0].remote_roster == inters[1].remote_roster
 
                 for index, (node, child_inter) in recorder.results.items():
                     assert child_inter.side is Side.CHILD
-                    assert child_inter.parent_root_rank == 0
                     assert child_inter.remote_roster == parent_roster
                     assert child_inter.local_group.my_rank == index
                     assert (child_inter.local_group.roster

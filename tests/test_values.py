@@ -100,7 +100,7 @@ def test_defaults():
     assert (spec.args, spec.count, spec.host_labels) == ((), 1, None)
     inter = InterGroup(local_group=GROUP, remote_roster=CHILDREN,
                        side=Side.PARENT)
-    assert (inter.parent_root_rank, inter.consumed) == (0, False)
+    assert inter.consumed is False
 
 
 def test_spawn_spec_stores_tuples():
@@ -166,14 +166,14 @@ def test_group_equality_ignores_node():
 
 def test_intergroup_consumed_is_the_only_assignable_field():
     inter = InterGroup(local_group=GROUP, remote_roster=CHILDREN,
-                       side=Side.PARENT, parent_root_rank=1)
+                       side=Side.PARENT)
     same = InterGroup(local_group=GROUP, remote_roster=CHILDREN,
-                      side=Side.PARENT, parent_root_rank=1)
+                      side=Side.PARENT)
     inter.consumed = True
     assert inter.consumed and inter == same
     assert inter != InterGroup(local_group=GROUP, remote_roster=CHILDREN,
-                               side=Side.CHILD, parent_root_rank=1)
-    for name in ("local_group", "remote_roster", "side", "parent_root_rank"):
+                               side=Side.CHILD)
+    for name in ("local_group", "remote_roster", "side"):
         with pytest.raises(AttributeError):
             setattr(inter, name, getattr(inter, name))
     with pytest.raises(TypeError):
