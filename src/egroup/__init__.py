@@ -33,8 +33,8 @@ _SUBMODULE_EXPORTS = {
                     "split"),
     "spawner": ("BootstrapTicket", "Launcher", "LocalProcessLauncher",
                 "SpawnSpec", "ThreadLauncher", "attach_parent", "spawn"),
-    "scaling": ("HostOccupancy", "ScaleInOutcome", "host_can_terminate",
-                "init_new_process", "scale_in", "scale_out"),
+    "scaling": ("ScaleInOutcome", "host_can_terminate", "init_new_process",
+                "scale_in", "scale_out"),
     "bench": ("BenchConfig", "BenchRecord", "emit_csv", "parse_csv",
               "run_scale_in_bench", "run_scale_out_bench"),
 }

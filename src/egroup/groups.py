@@ -18,13 +18,8 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .node import Node
 
-# Fixed width of host-label blocks exchanged while deciding whether a host can
-# be shut down. Labels longer than this are rejected up front.
+# Longest host label, in UTF-8 bytes, that a member descriptor accepts.
 HOST_LABEL_WIDTH = 64
-# Block content contributed by members that are leaving; a real host label
-# equal to this is rejected at configuration time so the sentinel stays
-# unambiguous.
-SENTINEL_BLOCK = b"N" * HOST_LABEL_WIDTH
 
 
 def new_incarnation_id(host_label: str = "") -> str:
@@ -46,8 +41,6 @@ class MemberDescriptor(Value):
             raise ValueError(
                 f"host_label exceeds {HOST_LABEL_WIDTH} bytes: {host_label!r}"
             )
-        if host_label.encode() == SENTINEL_BLOCK:
-            raise ValueError("host_label collides with the removal sentinel")
         if not incarnation_id:
             raise ValueError("incarnation_id must be non-empty")
         self._init_fields(host_label, listen_address, incarnation_id)

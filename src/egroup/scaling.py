@@ -4,8 +4,9 @@ shrink with communication fencing, and decide host retirement.
 scale_out barriers the old group, spawns children from rank 0, and merges
 the two sides (originals low, children high) so every original rank is
 preserved and all-to-all channels exist before it returns. scale_in gathers
-host occupancy, lets every member decide whether its machine empties out,
-then splits the group so the removing members drop into a retirement token
+one leaving flag per member; every member reads the host labels from the
+roster it already holds and decides whether its machine empties out. Then
+it splits the group so the removing members drop into a retirement token
 while the rest continue at the next epoch.
 """
 
@@ -22,12 +23,7 @@ from .collectives import (
     split,
 )
 from .errors import ProtocolError
-from .groups import (
-    HOST_LABEL_WIDTH,
-    SENTINEL_BLOCK,
-    Group,
-    RetirementToken,
-)
+from .groups import Group, RetirementToken
 from .node import Node
 from .spawner import (
     BootstrapTicket,
@@ -37,32 +33,6 @@ from .spawner import (
     spawn,
 )
 from .wire import Deadline, Value
-
-
-class HostOccupancy(Value):
-    """Rank-ordered fixed-width host labels; removing members appear as
-    all-sentinel blocks."""
-
-    __slots__ = ("width", "blocks")
-
-    def __init__(self, width: int, blocks: bytes):
-        if width != HOST_LABEL_WIDTH:
-            raise ValueError(f"block width must be {HOST_LABEL_WIDTH}, "
-                             f"got {width}")
-        if len(blocks) % width != 0:
-            raise ValueError(
-                f"occupancy of {len(blocks)} bytes is not a multiple "
-                f"of the {width}-byte block width")
-        self._init_fields(width, blocks)
-
-    @property
-    def count(self) -> int:
-        return len(self.blocks) // self.width
-
-    def block(self, i: int) -> bytes:
-        if not (0 <= i < self.count):
-            raise IndexError(f"block {i} out of range for {self.count} blocks")
-        return self.blocks[i * self.width:(i + 1) * self.width]
 
 
 class ScaleInOutcome(Value):
@@ -76,25 +46,11 @@ class ScaleInOutcome(Value):
         self._init_fields(new_group, can_terminate_host)
 
 
-def pad_label(label: str) -> bytes:
-    """Zero-pad a host label to the fixed occupancy block width."""
-    raw = label.encode()
-    if len(raw) > HOST_LABEL_WIDTH:
-        raise ValueError(f"host label exceeds {HOST_LABEL_WIDTH} bytes: {label!r}")
-    if raw == SENTINEL_BLOCK:
-        raise ValueError("host label collides with the removal sentinel")
-    return raw.ljust(HOST_LABEL_WIDTH, b"\x00")
-
-
-def host_can_terminate(occupancy: HostOccupancy, my_host: str) -> bool:
-    """True iff no remaining member's block names ``my_host``; sentinel
-    blocks (removing members) never count as occupants."""
-    padded = pad_label(my_host)
-    for i in range(occupancy.count):
-        block = occupancy.block(i)
-        if block != SENTINEL_BLOCK and block == padded:
-            return False
-    return True
+def host_can_terminate(hosts, flags, my_host: str) -> bool:
+    """True iff no member that stays runs on ``my_host``. ``hosts`` are the
+    roster's host labels and ``flags`` the gathered leaving flags (0 for a
+    member that stays), both in rank order."""
+    return all(flag or host != my_host for host, flag in zip(hosts, flags))
 
 
 def scale_out(old_group: Group, num_add: int, child_program: str,
@@ -164,11 +120,10 @@ def scale_in(old_group: Group, is_removing: bool,
     no successor group exists.
     """
     deadline = Deadline.of(timeout)
-    my_label = old_group.descriptor().host_label
-    block = SENTINEL_BLOCK if is_removing else pad_label(my_label)
-    gathered = allgather(old_group, block, timeout=deadline)
-    occupancy = HostOccupancy(width=HOST_LABEL_WIDTH, blocks=gathered)
-    can_terminate = host_can_terminate(occupancy, my_label)
+    flags = allgather(old_group, bytes([is_removing]), timeout=deadline)
+    can_terminate = host_can_terminate(
+        [m.host_label for m in old_group.roster], flags,
+        old_group.descriptor().host_label)
 
     outcome = split(old_group,
                     SplitKey(color=1 if is_removing else 0,

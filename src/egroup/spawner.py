@@ -197,7 +197,9 @@ class LocalProcessLauncher(Launcher):
         try:
             proc = subprocess.Popen(argv, env=env, pass_fds=image,
                                     stdout=self.stdout, stderr=self.stderr)
-        except OSError as exc:
+        except (OSError, TypeError, ValueError) as exc:
+            # TypeError and ValueError: a non-string argv or environment
+            # entry, or one with an embedded NUL.
             raise SpawnError(f"cannot launch {spec.program}: {exc}") from exc
         self._children.append(proc)
         return proc

@@ -60,6 +60,42 @@ def _drain_rejections(node):
         time.sleep(0.05)
 
 
+def _strings(value) -> bool:
+    return type(value) is list and all(type(v) is str for v in value)
+
+
+def _checked_timeout(op: str, cmd: dict):
+    """Check that ``cmd`` carries every field its op reads, each of the type
+    the op's call needs, and return its timeout. Raises ProtocolError
+    otherwise, so a malformed command gets an error reply from every worker
+    before any of them enters a collective."""
+    missing = [f for f in REQUIRED_FIELDS.get(op, ()) if f not in cmd]
+    if missing:
+        raise ProtocolError(f"{op} command lacks fields {missing}")
+    timeout = cmd.get("timeout", DEFAULT_TIMEOUT)
+    checks = [("timeout", type(timeout) in (int, float)
+               and 0 < timeout <= TIMEOUT_MAX, "a positive number of seconds")]
+    if op == "scale_out":
+        num_add, labels = cmd["num_add"], cmd.get("host_labels")
+        checks += [
+            ("num_add", type(num_add) is int and num_add >= 1,
+             "a positive int"),
+            ("child_program", type(cmd["child_program"]) is str, "a string"),
+            ("child_args", _strings(cmd.get("child_args", [])),
+             "a list of strings"),
+            ("host_labels", labels is None
+             or _strings(labels) and len(labels) == num_add,
+             "absent or a list of num_add strings")]
+    elif op == "scale_in":
+        checks.append(("is_removing", type(cmd["is_removing"]) is bool,
+                       "a bool"))
+    for field, ok, wanted in checks:
+        if not ok:
+            raise ProtocolError(
+                f"{op} {field} must be {wanted}, got {cmd.get(field)!r}")
+    return timeout
+
+
 def _position(group) -> dict:
     return {"rank": group.my_rank, "size": len(group.roster),
             "epoch": group.epoch}
@@ -71,17 +107,7 @@ def _execute(group, cmd: dict):
     ``timeout`` field bounds the collectives it runs (DEFAULT_TIMEOUT
     without one)."""
     op = cmd.get("op")
-    missing = [f for f in REQUIRED_FIELDS.get(op, ()) if f not in cmd]
-    if missing:
-        raise ProtocolError(f"{op} command lacks fields {missing}")
-    if op == "scale_out" and (type(cmd["num_add"]) is not int
-                              or cmd["num_add"] < 1):
-        raise ProtocolError(f"scale_out num_add must be a positive "
-                            f"int, got {cmd['num_add']!r}")
-    timeout = cmd.get("timeout", DEFAULT_TIMEOUT)
-    if type(timeout) not in (int, float) or not 0 < timeout <= TIMEOUT_MAX:
-        raise ProtocolError(f"command timeout must be a positive "
-                            f"number of seconds, got {timeout!r}")
+    timeout = _checked_timeout(op, cmd)
     start = time.perf_counter()
     if op == "stop":
         return None, {"stopped": True}
@@ -112,7 +138,7 @@ def _execute(group, cmd: dict):
             "children": [m.to_json() for m in group.roster[size_before:]],
             **_position(group)}
     if op == "scale_in":
-        outcome = scale_in(group, bool(cmd["is_removing"]), timeout=timeout)
+        outcome = scale_in(group, cmd["is_removing"], timeout=timeout)
         body = {"retired": isinstance(outcome.new_group, RetirementToken),
                 "can_terminate": outcome.can_terminate_host,
                 "total_s": time.perf_counter() - start,

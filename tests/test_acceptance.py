@@ -33,14 +33,7 @@ from egroup.bench import (
     run_scale_out_bench,
 )
 from egroup.collectives import allgather
-from egroup.groups import HOST_LABEL_WIDTH, SENTINEL_BLOCK
-from egroup.scaling import (
-    HostOccupancy,
-    host_can_terminate,
-    pad_label,
-    scale_in,
-    scale_out,
-)
+from egroup.scaling import host_can_terminate, scale_in, scale_out
 from egroup.wire import Envelope
 
 from conftest import cluster, run_members
@@ -149,22 +142,21 @@ def test_criterion_3_host_termination_oracle():
             for hosts in itertools.product(host_names, repeat=n):
                 for mask in range(2 ** n):
                     removing = {i for i in range(n) if mask & (1 << i)}
-                    blocks = b"".join(
-                        SENTINEL_BLOCK if i in removing
-                        else pad_label(hosts[i]) for i in range(n))
-                    occ = HostOccupancy(width=HOST_LABEL_WIDTH, blocks=blocks)
+                    flags = bytes(int(i in removing) for i in range(n))
                     remaining_hosts = {hosts[i] for i in range(n)
                                        if i not in removing}
                     for my_host in host_names:
                         # Oracle: terminate only if nobody staying shares
                         # the host.
                         expected = my_host not in remaining_hosts
-                        assert host_can_terminate(occ, my_host) == expected, \
+                        assert host_can_terminate(hosts, flags,
+                                                  my_host) == expected, \
                             (hosts, removing, my_host)
                         checked += 1
                     for i in range(n):
                         if i not in removing:
-                            assert not host_can_terminate(occ, hosts[i]), \
+                            assert not host_can_terminate(
+                                hosts, flags, hosts[i]), \
                                 "a staying member freed its own host"
         return f"{checked} host queries exact, stayers always pinned"
 

@@ -32,6 +32,7 @@ from egroup.collectives import (
     split,
 )
 from egroup.errors import DeadlineExceeded, EGroupError, ProtocolError
+from egroup.scaling import scale_in
 from egroup.spawner import BootstrapTicket, SpawnSpec, attach_parent, spawn
 from egroup.transport import match_fields
 from egroup.wire import Envelope
@@ -474,7 +475,8 @@ class TestMerge:
 
 class TestOneStar:
     """barrier, split, spawn and merge each take one round of
-    gather_decide's star: two frames per non-root member."""
+    gather_decide's star: two frames per non-root member. scale_in takes
+    two: the occupancy gather and the split."""
 
     @pytest.fixture
     def sent(self, monkeypatch):
@@ -530,3 +532,16 @@ class TestOneStar:
         star = [e for e in sent if e.tag in (wire.TAG_MERGE_HELLO,
                                              wire.TAG_MERGE_OUTCOME)]
         assert len(star) == 2 * (5 - 1)
+
+    def test_scale_in_sends_two_rounds_of_one_byte_flags(self, sent):
+        n = 4
+        with cluster(n, hosts=["A", "A", "B", "B"]) as groups:
+            run_members(lambda group: allgather(group, b"x"), groups)
+            sent.clear()
+            run_members(lambda group: scale_in(group, group.my_rank >= 2),
+                        groups)
+        assert len(sent) == 4 * (n - 1)
+        gather_tag = min(e.tag for e in sent)
+        occupancy = [e for e in sent if e.tag == gather_tag]
+        assert len(occupancy) == n - 1
+        assert [len(e.payload) for e in occupancy] == [1] * (n - 1)

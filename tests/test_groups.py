@@ -14,7 +14,7 @@ from egroup import (
     roster_digest,
 )
 from egroup.errors import ProtocolError
-from egroup.groups import HOST_LABEL_WIDTH, SENTINEL_BLOCK, new_incarnation_id
+from egroup.groups import HOST_LABEL_WIDTH, new_incarnation_id
 
 
 def member(i, host="hostA"):
@@ -42,11 +42,6 @@ class TestMemberDescriptor:
         m = MemberDescriptor(host_label="h" * HOST_LABEL_WIDTH,
                              listen_address="x:1", incarnation_id="a")
         assert len(m.host_label) == HOST_LABEL_WIDTH
-
-    def test_rejects_sentinel_label(self):
-        with pytest.raises(ValueError):
-            MemberDescriptor(host_label=SENTINEL_BLOCK.decode(),
-                             listen_address="x:1", incarnation_id="a")
 
     def test_json_round_trip(self):
         m = member(3)

@@ -3,19 +3,13 @@ oracle before any live scale-in relies on it."""
 
 import itertools
 
-import pytest
-
-from egroup.groups import HOST_LABEL_WIDTH, SENTINEL_BLOCK
-from egroup.scaling import HostOccupancy, host_can_terminate, pad_label
+from egroup.scaling import host_can_terminate
 
 
-def occupancy_for(hosts, removing):
-    """Build the occupancy a scale-in allgather would produce: removing
-    ranks contribute the sentinel, everyone else its padded host label."""
-    blocks = b"".join(
-        SENTINEL_BLOCK if i in removing else pad_label(hosts[i])
-        for i in range(len(hosts)))
-    return HostOccupancy(width=HOST_LABEL_WIDTH, blocks=blocks)
+def flags_for(n, removing):
+    """The flags a scale-in allgather would produce: 1 for each removing
+    rank, 0 for everyone else."""
+    return bytes(int(i in removing) for i in range(n))
 
 
 # Oracle: a host may be switched off exactly when every process that will
@@ -34,9 +28,9 @@ class TestExhaustiveOracle:
             for hosts in itertools.product(host_names, repeat=n):
                 for mask in range(2 ** n):
                     removing = {i for i in range(n) if mask & (1 << i)}
-                    occ = occupancy_for(hosts, removing)
+                    flags = flags_for(n, removing)
                     for my_host in host_names:
-                        assert host_can_terminate(occ, my_host) == \
+                        assert host_can_terminate(hosts, flags, my_host) == \
                             naive_can_terminate(hosts, removing, my_host), \
                             (hosts, removing, my_host)
                         checked += 1
@@ -44,68 +38,36 @@ class TestExhaustiveOracle:
 
     def test_removing_member_frees_its_host_only_if_alone(self):
         # Two ranks share host A; removing just rank 0 leaves rank 1 there.
-        occ = occupancy_for(("A", "A"), {0})
-        assert not host_can_terminate(occ, "A")
+        assert not host_can_terminate(("A", "A"), flags_for(2, {0}), "A")
         # Removing both empties the host.
-        occ = occupancy_for(("A", "A"), {0, 1})
-        assert host_can_terminate(occ, "A")
+        assert host_can_terminate(("A", "A"), flags_for(2, {0, 1}), "A")
 
     def test_staying_member_pins_its_host(self):
-        # A non-removing member sees itself in the occupancy, so its own
-        # host always reads as still in use.
+        # A non-removing member's own host label is in the roster with
+        # flag 0, so its host always reads as still in use.
         for n in range(1, 7):
             for hosts in itertools.product(("A", "B", "C"), repeat=n):
                 for mask in range(2 ** n):
                     removing = {i for i in range(n) if mask & (1 << i)}
-                    occ = occupancy_for(hosts, removing)
+                    flags = flags_for(n, removing)
                     for i in range(n):
                         if i not in removing:
-                            assert not host_can_terminate(occ, hosts[i])
+                            assert not host_can_terminate(hosts, flags,
+                                                          hosts[i])
 
     def test_all_sentinel_occupancy_frees_everything(self):
-        occ = occupancy_for(("A", "B", "A"), {0, 1, 2})
+        flags = flags_for(3, {0, 1, 2})
         for host in ("A", "B", "C"):
-            assert host_can_terminate(occ, host)
+            assert host_can_terminate(("A", "B", "A"), flags, host)
 
+    def test_empty_roster_frees_everything(self):
+        assert host_can_terminate((), b"", "anything")
 
-class TestPadLabel:
-    def test_pads_to_width(self):
-        block = pad_label("nodeA")
-        assert len(block) == HOST_LABEL_WIDTH
-        assert block.rstrip(b"\x00") == b"nodeA"
-
-    def test_width_limit(self):
-        assert len(pad_label("h" * HOST_LABEL_WIDTH)) == HOST_LABEL_WIDTH
-        with pytest.raises(ValueError):
-            pad_label("h" * (HOST_LABEL_WIDTH + 1))
-
-    def test_sentinel_collision_rejected(self):
-        with pytest.raises(ValueError):
-            pad_label(SENTINEL_BLOCK.decode())
-
-    def test_padding_does_not_alias_distinct_labels(self):
-        assert pad_label("node1") != pad_label("node10")
-
-
-class TestHostOccupancy:
-    def test_block_access(self):
-        occ = occupancy_for(("A", "B"), set())
-        assert occ.count == 2
-        assert occ.block(0) == pad_label("A")
-        assert occ.block(1) == pad_label("B")
-        with pytest.raises(IndexError):
-            occ.block(2)
-
-    def test_rejects_wrong_width(self):
-        with pytest.raises(ValueError):
-            HostOccupancy(width=32, blocks=b"x" * 32)
-
-    def test_rejects_ragged_blocks(self):
-        with pytest.raises(ValueError):
-            HostOccupancy(width=HOST_LABEL_WIDTH,
-                          blocks=b"x" * (HOST_LABEL_WIDTH + 1))
-
-    def test_empty_occupancy(self):
-        occ = HostOccupancy(width=HOST_LABEL_WIDTH, blocks=b"")
-        assert occ.count == 0
-        assert host_can_terminate(occ, "anything")
+    def test_distinct_labels_are_not_aliased(self):
+        # Labels compare as strings: a prefix, or the same label with
+        # trailing NULs, is another host.
+        stays = flags_for(1, set())
+        for staying, leaving in (("node10", "node1"), ("a\x00", "a"),
+                                 ("a", "a\x00")):
+            assert host_can_terminate((staying,), stays, leaving)
+            assert not host_can_terminate((staying,), stays, staying)

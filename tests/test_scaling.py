@@ -1,5 +1,6 @@
 """Growing and shrinking live groups."""
 
+import random
 import subprocess
 import sys
 import threading
@@ -21,6 +22,7 @@ from egroup.scaling import init_new_process, scale_in, scale_out
 from egroup.spawner import BootstrapTicket, LocalProcessLauncher, SpawnSpec, spawn
 
 from conftest import cluster, run_members
+from test_host_termination import naive_can_terminate
 
 
 class ChildWorld:
@@ -278,6 +280,22 @@ class TestScaleIn:
     def test_everyone_removing_yields_all_tokens(self):
         results = self.run_scale_in(["A", "A", "B"], {0, 1, 2})
         assert results == [("token", 1, True)] * 3
+
+    def test_every_member_matches_the_oracle(self):
+        # Every removing mask up to five members, "everyone leaves"
+        # included, each on one fixed-seed draw of hosts from A, B and C.
+        rng = random.Random(16)
+        for n in range(1, 6):
+            for mask in range(2 ** n):
+                hosts = [rng.choice("ABC") for _ in range(n)]
+                removing = {i for i in range(n) if mask & (1 << i)}
+                got = [r[-1] for r in self.run_scale_in(hosts, removing)]
+                assert got == [naive_can_terminate(hosts, removing, host)
+                               for host in hosts], (hosts, removing)
+
+    def test_labels_differing_by_a_nul_are_different_hosts(self):
+        results = self.run_scale_in(["a", "a\x00"], {0})
+        assert results == [("token", 1, True), ("group", 1, 0, 1, False)]
 
     def test_removed_member_is_fenced(self):
         with cluster(3) as groups:

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from egroup import Node, Side, ThreadLauncher, codeimage, spawner, wire
-from egroup.collectives import allgather
+from egroup.collectives import allgather, barrier
 from egroup.driver import Driver
 from egroup.errors import ConnectError, NotSpawnedError, ProtocolError, SpawnError
 from egroup.spawner import (
@@ -357,6 +357,21 @@ class TestSpawnWithProcesses:
                 assert time.monotonic() - start < 5
         assert len(builds) == 1
         assert len(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.parametrize("label", ["a\x00b", 5], ids=["nul", "int"])
+    def test_unlaunchable_label_fails_every_member(self, label):
+        # Popen rejects a NUL or a non-string in the environment with
+        # ValueError or TypeError; every member gets a SpawnError.
+        spec = SpawnSpec(program=sys.executable, host_labels=(label,))
+
+        def member(group):
+            with pytest.raises(SpawnError, match="cannot launch"):
+                spawn(group, spec, timeout=10)
+            barrier(group, timeout=10)
+            return True
+
+        with cluster(3) as groups:
+            assert run_members(member, groups) == [True] * 3
 
     def test_missing_executable_names_program(self):
         with cluster(1) as groups:

@@ -9,7 +9,6 @@ import pytest
 from egroup.collectives import SplitKey
 from egroup.groups import (
     HOST_LABEL_WIDTH,
-    SENTINEL_BLOCK,
     Group,
     InterGroup,
     MemberDescriptor,
@@ -17,7 +16,7 @@ from egroup.groups import (
     Side,
 )
 from egroup.node import Node
-from egroup.scaling import HostOccupancy, ScaleInOutcome
+from egroup.scaling import ScaleInOutcome
 from egroup.spawner import BootstrapTicket, SpawnSpec
 from egroup.wire import Envelope
 
@@ -48,9 +47,6 @@ VALUES = [
     (BootstrapTicket, dict(parent_address="127.0.0.1:1", parent_epoch=0,
                            child_index=1, host_label="h", child_count=2),
      dict(child_index=0)),
-    (HostOccupancy, dict(width=HOST_LABEL_WIDTH,
-                         blocks=b"a" * HOST_LABEL_WIDTH),
-     dict(blocks=SENTINEL_BLOCK)),
     (ScaleInOutcome, dict(new_group=RetirementToken(epoch=1),
                           can_terminate_host=True),
      dict(can_terminate_host=False)),
@@ -116,7 +112,8 @@ def test_spawn_spec_stores_tuples():
                             incarnation_id="a")),
     (MemberDescriptor, dict(host_label="h" * (HOST_LABEL_WIDTH + 1),
                             listen_address="x:1", incarnation_id="a")),
-    (MemberDescriptor, dict(host_label=SENTINEL_BLOCK.decode(),
+    # The bound counts UTF-8 bytes: 33 two-byte characters exceed it.
+    (MemberDescriptor, dict(host_label="\u00e9" * (HOST_LABEL_WIDTH // 2 + 1),
                             listen_address="x:1", incarnation_id="a")),
     (MemberDescriptor, dict(host_label="h", listen_address="x:1",
                             incarnation_id="")),
@@ -135,9 +132,6 @@ def test_spawn_spec_stores_tuples():
                            child_index=-1, host_label="h", child_count=2)),
     (BootstrapTicket, dict(parent_address="a:1", parent_epoch=-1,
                            child_index=0, host_label="h", child_count=1)),
-    (HostOccupancy, dict(width=HOST_LABEL_WIDTH - 1, blocks=b"")),
-    (HostOccupancy, dict(width=HOST_LABEL_WIDTH,
-                         blocks=b"a" * (HOST_LABEL_WIDTH + 1))),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else "")
 def test_checks_raise_value_error(cls, kwargs):
     with pytest.raises(ValueError):

@@ -110,58 +110,6 @@ class TestFleet:
             drv.close()
         assert [p.returncode for p in procs] == [0, 0]
 
-    def test_command_missing_a_field_gets_an_error_reply(self):
-        drv = Driver(timeout=30)
-        procs = []
-        try:
-            drv.start_fleet(2)
-            procs = [h.proc for h in drv.workers]
-            with pytest.raises(CommandFailure) as excinfo:
-                drv.command_all("scale_in")
-            assert isinstance(excinfo.value.error, ProtocolError)
-            with pytest.raises(CommandFailure, match="num_add"):
-                drv.command_all("scale_out", child_program="unused")
-            drv.barrier()
-            assert sorted(m["rank"] for m in drv.ping().values()) == [0, 1]
-        finally:
-            drv.close()
-        assert [p.returncode for p in procs] == [0, 0]
-
-    def test_scale_out_with_a_non_int_num_add_gets_an_error_reply(self):
-        drv = Driver(timeout=30)
-        procs = []
-        try:
-            drv.start_fleet(2)
-            procs = [h.proc for h in drv.workers]
-            for num_add in ("2", True):
-                with pytest.raises(CommandFailure, match="num_add") as excinfo:
-                    drv.command_all("scale_out", num_add=num_add,
-                                    child_program=sys.executable)
-                assert isinstance(excinfo.value.error, ProtocolError)
-            drv.barrier()
-            assert sorted(m["rank"] for m in drv.ping().values()) == [0, 1]
-        finally:
-            drv.close()
-        assert [p.returncode for p in procs] == [0, 0]
-
-    def test_bad_command_timeout_gets_an_error_reply(self):
-        drv = Driver(timeout=30)
-        procs = []
-        try:
-            drv.start_fleet(2)
-            procs = [h.proc for h in drv.workers]
-            for bad in ("3", True, 0, -1.5, None, float("inf")):
-                per_worker = {h.incarnation_id: {"timeout": bad}
-                              for h in drv.workers}
-                with pytest.raises(CommandFailure, match="timeout") as excinfo:
-                    drv.command_all("barrier", per_worker_params=per_worker)
-                assert isinstance(excinfo.value.error, ProtocolError)
-            drv.barrier()
-            assert sorted(m["rank"] for m in drv.ping().values()) == [0, 1]
-        finally:
-            drv.close()
-        assert [p.returncode for p in procs] == [0, 0]
-
     def test_start_fleet_that_never_registers_raises_and_stops_workers(self):
         drv = Driver(worker_command=[sys.executable, "-c",
                                      "import time; time.sleep(30)"],
@@ -229,6 +177,73 @@ class TestFleet:
         finally:
             drv.close()
         assert [p.returncode for p in procs] == [0, 0, 0, 0]
+
+
+# One row per malformed command, sent to every worker: the op, its fields,
+# and the field the error reply must name.
+MALFORMED = {
+    "missing-is_removing": ("scale_in", {}, "is_removing"),
+    "missing-num_add": ("scale_out", {"child_program": "unused"}, "num_add"),
+    "num_add-str": ("scale_out", {"num_add": "2",
+                                  "child_program": sys.executable}, "num_add"),
+    "num_add-bool": ("scale_out", {"num_add": True,
+                                   "child_program": sys.executable}, "num_add"),
+    "timeout-str": ("barrier", {"timeout": "3"}, "timeout"),
+    "timeout-bool": ("barrier", {"timeout": True}, "timeout"),
+    "timeout-zero": ("barrier", {"timeout": 0}, "timeout"),
+    "timeout-negative": ("barrier", {"timeout": -1.5}, "timeout"),
+    "timeout-null": ("barrier", {"timeout": None}, "timeout"),
+    "timeout-inf": ("barrier", {"timeout": float("inf")}, "timeout"),
+    "is_removing-str": ("scale_in", {"is_removing": "false"}, "is_removing"),
+    "is_removing-int": ("scale_in", {"is_removing": 0}, "is_removing"),
+    "host_labels-too-many": ("scale_out", {
+        "num_add": 1, "child_program": sys.executable,
+        "host_labels": ["a", "b"]}, "host_labels"),
+    "host_labels-not-strings": ("scale_out", {
+        "num_add": 1, "child_program": sys.executable,
+        "host_labels": [5]}, "host_labels"),
+    "host_labels-not-a-list": ("scale_out", {
+        "num_add": 1, "child_program": sys.executable,
+        "host_labels": "a"}, "host_labels"),
+    "child_program-not-a-string": ("scale_out", {
+        "num_add": 1, "child_program": [sys.executable]}, "child_program"),
+    "child_args-not-a-list": ("scale_out", {
+        "num_add": 1, "child_program": sys.executable,
+        "child_args": "-S"}, "child_args"),
+    "child_args-not-strings": ("scale_out", {
+        "num_add": 1, "child_program": sys.executable,
+        "child_args": [1]}, "child_args"),
+}
+
+
+@pytest.fixture(scope="class")
+def fleet():
+    """Two workers shared by a class's tests; each must exit 0 at close."""
+    drv = Driver(timeout=30)
+    procs = []
+    try:
+        drv.start_fleet(2)
+        procs = [h.proc for h in drv.workers]
+        yield drv
+    finally:
+        drv.close()
+    assert [p.returncode for p in procs] == [0, 0]
+
+
+class TestMalformedCommand:
+    @pytest.mark.parametrize("op, params, field", MALFORMED.values(),
+                             ids=MALFORMED.keys())
+    def test_gets_an_error_reply(self, fleet, op, params, field):
+        per_worker = {h.incarnation_id: params for h in fleet.workers}
+        start = time.monotonic()
+        with pytest.raises(CommandFailure, match=field) as excinfo:
+            fleet.command_all(op, per_worker_params=per_worker)
+        assert isinstance(excinfo.value.error, ProtocolError)
+        assert time.monotonic() - start < 2
+        # Every worker is still serving, at its old rank and epoch.
+        fleet.barrier()
+        assert sorted((m["rank"], m["epoch"])
+                      for m in fleet.ping().values()) == [(0, 0), (1, 0)]
 
 
 class TestFleetScaling:
