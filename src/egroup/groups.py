@@ -11,7 +11,7 @@ import enum
 import os
 
 from .errors import ProtocolError, RetiredGroupError
-from .wire import Value
+from .wire import Value, parse_address, sha256
 
 # Type checkers read this name as True; at run time typing stays unimported.
 TYPE_CHECKING = False
@@ -43,6 +43,7 @@ class MemberDescriptor(Value):
             )
         if not incarnation_id:
             raise ValueError("incarnation_id must be non-empty")
+        parse_address(listen_address)
         self._init_fields(host_label, listen_address, incarnation_id)
 
     def to_json(self) -> dict:
@@ -172,8 +173,7 @@ class RetirementToken(Value):
 
 def roster_digest(roster) -> str:
     """SHA-256 over ``incarnation_id|host_label|listen_address\\n`` in rank order."""
-    import hashlib
-    h = hashlib.sha256()
+    h = sha256()
     for m in roster:
         h.update(
             f"{m.incarnation_id}|{m.host_label}|{m.listen_address}\n".encode()

@@ -67,8 +67,7 @@ class SpawnSpec(wire.Value):
             "count": self.count,
             "host_labels": list(self.host_labels) if self.host_labels else None,
         })
-        import hashlib
-        return hashlib.sha256(body).digest()
+        return wire.sha256(body).digest()
 
     def label_for(self, index: int, fallback: str) -> str:
         if self.host_labels is not None:

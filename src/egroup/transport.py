@@ -32,19 +32,12 @@ from .errors import (
     SetupError,
     ShutdownError,
 )
-from .wire import Deadline, Envelope
+from .wire import Deadline, Envelope, parse_address
 
 log = DeferredLogger(__name__)
 
 HANDSHAKE_TIMEOUT = 10.0
 RECV_BYTES = 64 * 1024
-
-
-def parse_address(address: str) -> tuple:
-    host, sep, port = address.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"address must look like host:port, got {address!r}")
-    return host, int(port)
 
 
 def _control(kind: str, frame_epoch: int = 0, /, **fields) -> Envelope:
@@ -222,8 +215,14 @@ class Endpoint:
         if deadline.expired():
             raise DeadlineExceeded(f"deadline passed before dialing {address}")
         try:
-            sock = socket.create_connection(parse_address(address), deadline.remaining())
-        except OSError as exc:
+            host, port = parse_address(address)
+            # An ASCII host goes to getaddrinfo as the bytes the IDNA codec
+            # would make of it, so only a non-ASCII name loads that codec.
+            if host.isascii():
+                host = host.encode()
+            sock = socket.create_connection((host, port), deadline.remaining())
+        except (OSError, ValueError) as exc:
+            # ValueError: a malformed address, or a name IDNA cannot encode.
             raise _dial_error(deadline, f"cannot reach {address}", exc) from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(deadline.remaining())

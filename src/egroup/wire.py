@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 import time
 
 from .errors import ProtocolError, error_fields, error_from_fields
@@ -43,6 +44,34 @@ NO_RANK = -1
 # How long past its own deadline a member waits for a root's outcome, so a
 # root that gives up at the same deadline still reaches it with the error.
 OUTCOME_SLACK = 0.5
+
+
+def parse_address(address: str) -> tuple:
+    """Split ``host:port`` into a host string and an integer port from 0 to
+    65535; anything else raises ValueError."""
+    if not isinstance(address, str):
+        raise ValueError(f"address must be a host:port string, got {address!r}")
+    host, sep, port = address.rpartition(":")
+    if not sep or not host:
+        raise ValueError(f"address must look like host:port, got {address!r}")
+    number = int(port)
+    if not 0 <= number <= 65535:
+        raise ValueError(f"port of {address!r} is out of range 0-65535")
+    return host, number
+
+
+def sha256(data: bytes = b""):
+    """A SHA-256 hash object from the interpreter's builtin module, so that
+    computing a digest does not load OpenSSL; ``hashlib`` only where the
+    interpreter was built without that module. The digests are the same."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256 as new
+        else:
+            from _sha256 import sha256 as new
+    except ImportError:
+        from hashlib import sha256 as new
+    return new(data)
 
 
 class Deadline:

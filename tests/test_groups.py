@@ -54,6 +54,24 @@ class TestMemberDescriptor:
             with pytest.raises(ProtocolError):
                 MemberDescriptor.from_json(obj)
 
+    @pytest.mark.parametrize("address", ["nohostport", ":1", "h:", "h:notaport",
+                                         "h:65536", "h:-1", 5, None])
+    def test_rejects_malformed_listen_address(self, address):
+        with pytest.raises(ValueError):
+            MemberDescriptor(host_label="a", listen_address=address,
+                             incarnation_id="x")
+        # From a peer, the same descriptor is a protocol error.
+        with pytest.raises(ProtocolError):
+            MemberDescriptor.from_json({"host_label": "a",
+                                        "listen_address": address,
+                                        "incarnation_id": "x"})
+
+    def test_port_range_bounds_are_accepted(self):
+        for address in ("h:0", "h:65535"):
+            m = MemberDescriptor(host_label="a", listen_address=address,
+                                 incarnation_id="x")
+            assert m.listen_address == address
+
     def test_incarnation_ids_are_unique(self):
         ids = {new_incarnation_id("h") for _ in range(1000)}
         assert len(ids) == 1000

@@ -74,3 +74,48 @@ def test_submodules_import_from_package():
     from egroup import collectives, transport
     assert collectives.allgather is egroup.allgather
     assert transport.__name__ == "egroup.transport"
+
+
+# Native code a live worker has no use for: OpenSSL (hashlib's backend) and
+# the Unicode database (loaded by the IDNA codec when a str host is dialed).
+UNUSED_NATIVE = ("_hashlib", "libcrypto", "libssl", "unicodedata")
+
+
+def _children(pid):
+    kids = []
+    for task in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{task}/children") as f:
+            kids.extend(int(k) for k in f.read().split())
+    return kids
+
+
+def _unused_native_mappings(pids):
+    found = {}
+    for pid in pids:
+        with open(f"/proc/{pid}/maps") as f:
+            hits = sorted({line.split(None, 5)[-1].strip() for line in f
+                           if any(n in line for n in UNUSED_NATIVE)})
+        if hits:
+            found[pid] = hits
+    return found
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/task"),
+                    reason="needs /proc")
+def test_live_fleet_loads_no_openssl_or_unicode_database():
+    from egroup.driver import Driver
+    with Driver(timeout=30) as drv:
+        drv.start_fleet(2)
+        root_pid = drv.workers[0].proc.pid
+        drv.digests()
+        drv.scale_out(1)
+        drv.allgather_ids()
+        assert len(drv.digests()) == 1
+        # The spawned child is the spawning root's only child process.
+        pids = [h.proc.pid for h in drv.workers[:2]] + _children(root_pid)
+        assert len(pids) == 3
+        assert _unused_native_mappings(pids) == {}
+        drv.scale_in(1)
+        pids = [h.proc.pid for h in drv.workers]
+        assert root_pid in pids
+        assert _unused_native_mappings(pids) == {}

@@ -1,5 +1,6 @@
 """Spawn, registration, and child bootstrap."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -62,6 +63,17 @@ class TestSpawnSpec:
         ]
         digests = {base.digest()} | {v.digest() for v in variants}
         assert len(digests) == 4
+
+    @pytest.mark.parametrize("spec, body", [
+        (SpawnSpec(program="p"),
+         b'{"args": [], "count": 1, "host_labels": null, "program": "p"}'),
+        (SpawnSpec(program="p", args=("--x",), count=2, host_labels=("a", "b")),
+         b'{"args": ["--x"], "count": 2, "host_labels": ["a", "b"], '
+         b'"program": "p"}'),
+    ], ids=["defaults", "every-field"])
+    def test_digest_is_sha256_of_the_spec_json(self, spec, body):
+        # Members of different versions must agree on it in a spawn.
+        assert spec.digest() == hashlib.sha256(body).digest()
 
     def test_label_fallback(self):
         spec = SpawnSpec(program="p", count=2)

@@ -77,6 +77,26 @@ def test_connect_to_closed_port_is_connect_error():
         b.close()
 
 
+@pytest.mark.parametrize("address", [
+    "a..b:1",
+    "h" * 64 + ".example:1",
+    "127.0.0.1:notaport",
+    "nohostport",
+    "127.0.0.1:65536",
+    "\u00fc" * 64 + ":1",
+], ids=["empty-label", "long-label", "bad-port", "no-port", "port-range",
+        "bad-idna-name"])
+def test_malformed_address_is_connect_error(address):
+    # The last name is non-ASCII, so it is dialed as a str and fails in the
+    # IDNA codec (its label is too long) before any lookup.
+    a = make_endpoint("a")
+    try:
+        with pytest.raises(ConnectError):
+            a.connect(address, timeout=5)
+    finally:
+        a.close()
+
+
 def test_connect_after_the_deadline_is_deadline_exceeded():
     a, b = make_endpoint("a"), make_endpoint("b")
     try:

@@ -1,6 +1,8 @@
 """Wire framing: bit-exact layout and serialization round-trips."""
 
+import hashlib
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -118,3 +120,22 @@ def test_tag_ranges_do_not_overlap():
              wire.TAG_MERGE_HELLO, wire.TAG_MERGE_OUTCOME}
     assert len(fixed) == 4
     assert min(fixed) > wire.TAG_COLL_BASE + 10**6
+
+
+@pytest.mark.parametrize("blocked", [(), ("_sha2", "_sha256")],
+                         ids=["builtin", "hashlib"])
+def test_sha256_matches_hashlib(monkeypatch, blocked):
+    # With the builtin modules blocked the helper falls back to hashlib.
+    for name in blocked:
+        monkeypatch.setitem(sys.modules, name, None)
+    h = wire.sha256(b"abc")
+    h.update(b"def")
+    assert h.digest() == hashlib.sha256(b"abcdef").digest()
+    assert wire.sha256().hexdigest() == hashlib.sha256().hexdigest()
+    builtin = type(h).__module__ in ("_sha2", "_sha256")
+    assert builtin is not bool(blocked)
+
+
+def test_parse_address_splits_host_and_port():
+    assert wire.parse_address("127.0.0.1:0") == ("127.0.0.1", 0)
+    assert wire.parse_address("::1:65535") == ("::1", 65535)
