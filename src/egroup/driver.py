@@ -133,20 +133,19 @@ class Driver:
             src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
             payload=wire.json_payload({**params, "op": op, "seq": seq})))
 
-    def _answers(self, msg: dict, seq: int) -> bool:
-        """Whether ``msg`` is a reply to command ``seq``. A reply to an
-        earlier command came after the driver stopped waiting for it; it is
-        logged and dropped. A reply to a command never sent raises."""
+    def _answers(self, msg: dict, seq: int, sender: str, addressed) -> bool:
+        """Whether ``msg``, which came on ``sender``'s channel, answers
+        command ``seq``. A reply from outside ``addressed``, or a late one to
+        an earlier command, is logged and dropped; one to a command never
+        sent raises."""
         got = msg.get("seq")
-        if got == seq:
+        if sender in addressed and got == seq:
             return True
-        if isinstance(got, int) and 0 < got < seq:
-            log.warning("dropping late reply to command %d from %s",
-                        got, msg.get("id"))
+        if sender not in addressed or isinstance(got, int) and 0 < got < seq:
+            log.warning("dropping reply to command %r from %s", got, sender)
             return False
-        raise ProtocolError(
-            f"reply for command {got!r}, which was never sent "
-            f"(waiting on {seq})")
+        raise ProtocolError(f"reply for command {got!r}, which was never "
+                            f"sent (waiting on {seq})")
 
     def _deadline(self, timeout) -> Deadline:
         return Deadline.of(self.timeout if timeout is None else timeout)
@@ -154,9 +153,9 @@ class Driver:
     def _command(self, handles: list, op: str, per_worker_params=None,
                  timeout=None, **params) -> dict:
         """Send one command to each of ``handles`` and wait for every reply,
-        keyed by incarnation id; raises CommandFailure for the first one
-        that reports an error. ``timeout`` is seconds or a Deadline; the
-        command carries the seconds left, and replies are awaited
+        keyed by its channel's incarnation id; raises CommandFailure for the
+        first one that reports an error. ``timeout`` is seconds or a Deadline;
+        the command carries the seconds left, and replies are awaited
         OUTCOME_SLACK longer, for workers that give up at the deadline."""
         deadline = self._deadline(timeout)
         if deadline.expired():
@@ -168,12 +167,13 @@ class Driver:
             extra = (per_worker_params or {}).get(handle.incarnation_id, {})
             self._send_command(handle, seq, op, **{**params, **extra})
         wait, replies = deadline.for_outcome(), {}
+        addressed = {handle.incarnation_id for handle in handles}
         while len(replies) < len(handles):
-            env = self.node.endpoint.recv(
+            env, channel = self.node.endpoint.recv_with_channel(
                 match_fields(tag=wire.TAG_DRIVER_REPLY), wait)
             msg = wire.parse_json_payload(env.payload)
-            if self._answers(msg, seq):
-                replies[msg["id"]] = msg
+            if self._answers(msg, seq, channel.peer_id, addressed):
+                replies[channel.peer_id] = msg
         for handle in handles:
             msg = replies.get(handle.incarnation_id)
             if msg is not None and not msg.get("ok", False):

@@ -91,16 +91,19 @@ class Node:
 
     def recv_on(self, group: Group, tag: int, src_rank: int,
                 timeout: float | None = None) -> Envelope:
-        """Receive ``group``'s next envelope with ``tag`` from ``src_rank``.
-        One that names the rank but came on another member's channel, such
-        as a leftover of an earlier attempt at this epoch, is dropped."""
+        """Receive ``group``'s next envelope with ``tag`` from ``src_rank``,
+        on that member's channel."""
         self.check_group_live(group)
-        deadline = Deadline.of(timeout)
-        sender = group.member(src_rank).incarnation_id
         match = match_fields(epoch=group.epoch, tag=tag, src_rank=src_rank)
+        return self.recv_from(group.member(src_rank).incarnation_id, match, timeout)
+
+    def recv_from(self, peer_id: str, match, timeout=None) -> Envelope:
+        """Receive the next envelope satisfying ``match`` that came on
+        ``peer_id``'s channel; one that came on another channel is dropped."""
+        deadline = Deadline.of(timeout)
         while True:
             envelope, channel = self.endpoint.recv_with_channel(match, deadline)
-            if channel.peer_id == sender:
+            if channel.peer_id == peer_id:
                 return envelope
 
     def check_group_live(self, group: Group) -> None:

@@ -3,13 +3,14 @@ root, and link both sides as an InterGroup ready to merge. ``spawn`` is one
 round of ``collectives.gather_decide`` at rank 0, which checks that every
 member asked for the same children and then launches them. Rank 0 is also
 the root of the merge that follows, so the inter-group does not record it.
-The driver starts the initial fleet through the same launch and
-registration loop, as the spawn root of epoch 0 with no parent roster.
+Registration has the same star shape: each child sends the root its
+descriptor, with its child_index in the header, and the root sends every
+child one outcome on that child's channel. The driver starts the initial
+fleet through ``launch_and_register`` too, as the spawn root of epoch 0.
 
-Host placement is emulated: children are local processes that receive their
-logical host label through the bootstrap environment, so multi-host layouts
-can be exercised on one machine. The launcher is pluggable; tests use an
-in-process thread launcher, the benchmark uses real subprocesses.
+Host placement is emulated: a child gets its logical host label from its
+bootstrap environment, so multi-host layouts run on one machine. Launchers
+are pluggable; tests launch threads, the benchmark real subprocesses.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ import threading
 
 from . import codeimage, wire
 from .collectives import DEFAULT_TIMEOUT, gather_decide
-from .errors import DeadlineExceeded, NotSpawnedError, ProtocolError, SpawnError
+from .errors import (
+    DeadlineExceeded,
+    DeliveryError,
+    NotSpawnedError,
+    ProtocolError,
+    SpawnError,
+)
 from .groups import Group, InterGroup, MemberDescriptor, Side
 from .node import Node
 from .transport import match_fields
@@ -282,39 +289,36 @@ def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,
                         timeout, *, handles: list, epoch: int = 0,
                         parents: tuple = ()) -> tuple:
     """Launch ``spec.count`` children whose tickets name ``node`` at
-    ``epoch``, wait for every one to register, and answer each with the
-    ``parents`` roster and its siblings. Returns the children in
-    child_index order.
+    ``epoch``, collect one registration per child, and send each, on the
+    channel it registered on, one outcome: the ``parents`` roster and its
+    siblings, or the error. Returns the children in child_index order.
 
-    Every launcher handle is appended to ``handles`` as it starts. On any
-    failure the children that registered get the error, every launched child
-    is stopped, and the error propagates: a SpawnError naming the missing
-    child_index values once ``timeout`` (seconds or a Deadline) passes, a
-    SpawnError naming a child that exited without registering, a
-    ProtocolError on a bad or repeated registration. Once the launcher
-    reports a child exited, a registration it sent before exiting has one
-    more EXIT_POLL to arrive.
+    A registration carries its child_index in ``src_rank`` and the
+    descriptor of the process on its channel. Every launcher handle is
+    appended to ``handles`` as it starts. On any failure every child this
+    call launched is stopped and the error propagates: a SpawnError naming
+    the missing child_index values once ``timeout`` (seconds or a Deadline)
+    passes, a child that exited without registering or one that could not
+    be answered; a ProtocolError on a bad or repeated registration. A
+    registration sent before an exit has one more EXIT_POLL to arrive.
     """
     deadline = Deadline.of(timeout)
-    registered, exited = {}, {}
-    first = len(handles)
+    registered, channels, exited = {}, {}, {}
+    first, error = len(handles), None
     try:
         for index in range(spec.count):
             ticket = BootstrapTicket(
-                parent_address=node.listen_address,
-                parent_epoch=epoch,
-                child_index=index,
-                host_label=spec.label_for(index, node.host_label),
-                child_count=spec.count,
-            )
+                parent_address=node.listen_address, parent_epoch=epoch,
+                child_index=index, child_count=spec.count,
+                host_label=spec.label_for(index, node.host_label))
             handles.append(launcher.launch(spec, index, ticket.to_env()))
 
+        match = match_fields(epoch=epoch, tag=wire.TAG_SPAWN_REGISTER)
         while len(registered) < spec.count:
             remaining = deadline.remaining()
             poll = EXIT_POLL if remaining is None else min(remaining, EXIT_POLL)
             try:
-                env = node.endpoint.recv(
-                    match_fields(tag=wire.TAG_SPAWN_REGISTER), poll)
+                env, channel = node.endpoint.recv_with_channel(match, poll)
             except DeadlineExceeded:
                 missing = sorted(set(range(spec.count)) - set(registered))
                 if deadline.expired():
@@ -330,43 +334,41 @@ def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,
                     if status is not None:
                         exited[index] = status
                 continue
-            msg = wire.parse_json_payload(env.payload)
-            index = msg.get("child_index")
-            if (type(index) is not int or not 0 <= index < spec.count
-                    or index in registered):
+            index = env.src_rank
+            if not 0 <= index < spec.count or index in registered:
                 raise ProtocolError(
-                    f"registration with bad or repeated child_index {index!r}")
-            registered[index] = MemberDescriptor.from_json(msg.get("descriptor"))
+                    f"registration with bad or repeated child_index {index}")
+            member = MemberDescriptor.from_json(
+                wire.parse_json_payload(env.payload))
+            if member.incarnation_id != channel.peer_id:
+                raise ProtocolError(
+                    f"child_index {index} registered {member.incarnation_id} "
+                    f"on the channel of {channel.peer_id}")
+            registered[index], channels[index] = member, channel
+        remote = tuple(registered[i] for i in range(spec.count))
+        outcome = ok_outcome(wire.json_payload({
+            "parents": [m.to_json() for m in parents],
+            "children": [m.to_json() for m in remote]}))
     except Exception as exc:
-        _abort_children(node, epoch, launcher, handles, registered, exc)
-        raise
+        error, outcome = exc, error_outcome(SpawnError(f"spawn aborted: {exc}"))
 
-    remote = tuple(registered[i] for i in range(spec.count))
-    reply = ok_outcome(wire.json_payload({
-        "parents": [m.to_json() for m in parents],
-        "children": [m.to_json() for m in remote],
-    }))
-    for member in remote:
-        node.send_to(member, Envelope(
-            epoch=epoch, tag=wire.TAG_SPAWN_REPLY,
-            src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK, payload=reply))
-    return remote
-
-
-def _abort_children(node, epoch, launcher, handles, registered, exc):
-    payload = error_outcome(SpawnError(f"spawn aborted: {exc}"))
-    for member in registered.values():
+    for index, channel in channels.items():
         try:
-            node.send_to(member, Envelope(
+            channel.send(Envelope(
                 epoch=epoch, tag=wire.TAG_SPAWN_REPLY,
-                src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK, payload=payload))
-        except Exception:
-            pass
-    for handle in handles:
-        try:
-            launcher.stop(handle)
-        except Exception:
-            pass
+                src_rank=wire.NO_RANK, dst_rank=index, payload=outcome))
+        except DeliveryError as exc:
+            if error is None:
+                error = SpawnError(f"cannot answer child_index {index}: {exc}")
+                error.__cause__ = exc
+    if error is not None:
+        for handle in handles[first:]:
+            try:
+                launcher.stop(handle)
+            except Exception:
+                pass
+        raise error
+    return remote
 
 
 def attach_parent(node: Node | None = None,
@@ -384,22 +386,18 @@ def attach_parent(node: Node | None = None,
     try:
         # Adopt the parent's epoch before dialing so fencing on both ends agrees.
         node.fencing.advance_to(ticket.parent_epoch)
-        node.endpoint.connect(ticket.parent_address).send(Envelope(
+        channel = node.endpoint.connect(ticket.parent_address)
+        channel.send(Envelope(
             epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REGISTER,
-            src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-            payload=wire.json_payload({
-                "child_index": ticket.child_index,
-                "descriptor": node.descriptor().to_json(),
-            })))
-        reply = node.endpoint.recv(match_fields(tag=wire.TAG_SPAWN_REPLY),
-                                   deadline.for_outcome())
+            src_rank=ticket.child_index, dst_rank=wire.NO_RANK,
+            payload=wire.json_payload(node.descriptor().to_json())))
+        match = match_fields(epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REPLY)
+        reply = node.recv_from(channel.peer_id, match, deadline.for_outcome())
         outcome = wire.parse_json_payload(unwrap_outcome(reply.payload))
-        siblings = tuple(MemberDescriptor.from_json(m)
-                         for m in outcome["children"])
-        parents = tuple(MemberDescriptor.from_json(m)
-                        for m in outcome["parents"])
-        local = node.make_group(ticket.parent_epoch, siblings,
-                                ticket.child_index)
+        siblings, parents = (
+            tuple(MemberDescriptor.from_json(m) for m in outcome[roster])
+            for roster in ("children", "parents"))
+        local = node.make_group(ticket.parent_epoch, siblings, ticket.child_index)
         return InterGroup(local_group=local, remote_roster=parents,
                           side=Side.CHILD)
     except BaseException:

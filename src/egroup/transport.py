@@ -162,10 +162,10 @@ class Endpoint:
     def __init__(self, address: str, identity: str, fencing: FencingState):
         self.identity = identity
         self.fencing = fencing
-        host, port = parse_address(address)
         try:
+            host, port = parse_address(address)
             self._listener = socket.create_server((host, port), backlog=128)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a malformed address
             raise SetupError(f"cannot bind {address}: {exc}") from exc
         self._listener.setblocking(False)
         self.listen_address = f"{host}:{self._listener.getsockname()[1]}"
@@ -197,8 +197,7 @@ class Endpoint:
 
     # -- connection management -------------------------------------------------
 
-    def connect(self, address: str, self_id: str | None = None,
-                expect_id: str | None = None,
+    def connect(self, address: str, expect_id: str | None = None,
                 timeout=HANDSHAKE_TIMEOUT) -> Channel:
         """Open (or reuse) a channel to the endpoint listening at ``address``.
 
@@ -209,7 +208,6 @@ class Endpoint:
         a failure once it has passed raises DeadlineExceeded, any other
         failure to reach the peer ConnectError.
         """
-        self_id = self_id if self_id is not None else self.identity
         epoch = self.fencing.current
         deadline = Deadline.of(timeout)
         if deadline.expired():
@@ -228,7 +226,7 @@ class Endpoint:
         sock.settimeout(deadline.remaining())
         try:
             sock.sendall(wire.pack(_control(
-                "hello", max(epoch, 0), incarnation_id=self_id, epoch=epoch)))
+                "hello", max(epoch, 0), incarnation_id=self.identity, epoch=epoch)))
             msg = wire.parse_json_payload(wire.read_envelope(sock).payload)
         except (OSError, ProtocolError) as exc:
             sock.close()
@@ -254,7 +252,7 @@ class Endpoint:
             raise ConnectError(
                 f"endpoint at {address} is {peer_id}, expected {expect_id}")
         sock.settimeout(None)
-        channel = Channel(sock, peer_id, self_id, self)
+        channel = Channel(sock, peer_id, self.identity, self)
         self._watch_soon(channel)
         return self._adopt(channel)
 

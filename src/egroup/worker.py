@@ -166,7 +166,7 @@ def _serve(group) -> None:
             body["ok"] = True
         except EGroupError as exc:
             body = {"ok": False, **error_fields(exc)}
-        body.update(seq=cmd.get("seq"), id=node.incarnation_id)
+        body["seq"] = cmd.get("seq")
         channel.send(Envelope(
             epoch=max(node.fencing.current, 0), tag=wire.TAG_DRIVER_REPLY,
             src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,

@@ -1,6 +1,7 @@
 """Module boundaries: no egroup module reaches into another's private names,
-only the spawner starts processes, every wire tag has a user, and group
-messages travel only through ``gather_decide``'s star. Timeouts:
+only the spawner starts processes, every wire tag has a user, group
+messages travel only through ``gather_decide``'s star, and every library
+receive can see the channel it came on. Timeouts:
 no public call takes a ``*_timeout`` parameter, and no module raises a bare
 TimeoutError. Bytecode: no module writes any, or changes the caller's
 bytecode settings."""
@@ -162,6 +163,28 @@ def test_check_sees_star_calls(tmp_path):
         "sample.py:4 calls node.send", "sample.py:5 calls node.recv_on",
         "sample.py:6 calls node.send_to", "sample.py:8 calls node.recv_on",
         "sample.py:9 calls endpoint.recv"]
+
+
+def test_library_receives_know_their_sender():
+    # Every receive outside the transport goes through recv_with_channel or
+    # a Node helper, so it can check the channel a message came on.
+    found = [call for path in sorted(SRC.glob("*.py"))
+             if path.name != "transport.py"
+             for call in star_calls(path, calls={"recv": "endpoint"})]
+    assert found == []
+
+
+def test_check_sees_endpoint_receives(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("node.endpoint.recv(match, 1)\n"
+                      "env = self.node.endpoint.recv(match)\n"
+                      "node.endpoint.recv_with_channel(match, 1)\n"
+                      "node.recv_from('a', match, 1)\n"
+                      "sock.recv(4096)\n"
+                      "endpoint.recv()\n")
+    assert list(star_calls(sample, calls={"recv": "endpoint"})) == [
+        "sample.py:1 calls endpoint.recv", "sample.py:2 calls endpoint.recv",
+        "sample.py:6 calls endpoint.recv"]
 
 
 def _public(name):

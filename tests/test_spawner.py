@@ -16,6 +16,7 @@ from egroup import Node, Side, ThreadLauncher, codeimage, spawner, wire
 from egroup.collectives import allgather, barrier
 from egroup.driver import Driver
 from egroup.errors import ConnectError, NotSpawnedError, ProtocolError, SpawnError
+from egroup.groups import InterGroup, MemberDescriptor
 from egroup.spawner import (
     ENV_CHILD_COUNT,
     ENV_CHILD_INDEX,
@@ -168,6 +169,30 @@ class ChildRecorder:
             node.close()
 
 
+def register(node, ticket, payload):
+    """Send a registration by hand to the parent the ticket names."""
+    node.endpoint.connect(ticket.parent_address).send(Envelope(
+        epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REGISTER,
+        src_rank=ticket.child_index, dst_rank=wire.NO_RANK,
+        payload=wire.json_payload(payload)))
+
+
+class StopRecorder(ThreadLauncher):
+    """A thread launcher that records the handles it launched and stopped."""
+
+    def __init__(self, target=None):
+        super().__init__(target)
+        self.launched, self.stopped = [], []
+
+    def launch(self, spec, index, ticket_env):
+        handle = super().launch(spec, index, ticket_env)
+        self.launched.append(handle)
+        return handle
+
+    def stop(self, handle):
+        self.stopped.append(handle)
+
+
 class TestSpawnWithThreads:
     def test_both_sides_see_matching_rosters(self):
         recorder = ChildRecorder()
@@ -274,11 +299,7 @@ class TestSpawnWithThreads:
         def child(env):
             ticket = BootstrapTicket.from_env(env)
             with Node(host_label=ticket.host_label) as node:
-                node.endpoint.connect(ticket.parent_address).send(Envelope(
-                    epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REGISTER,
-                    src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-                    payload=wire.json_payload(
-                        {"child_index": ticket.child_index})))
+                register(node, ticket, {"child_index": ticket.child_index})
                 done.wait(30)
 
         try:
@@ -290,6 +311,79 @@ class TestSpawnWithThreads:
                 assert allgather(groups[0], b"ok") == b"ok"
         finally:
             done.set()
+
+    def test_unreachable_registered_child_stops_every_child(self):
+        # Child 0 registers and exits; child 1 registers 0.6 s later. The
+        # root cannot answer child 0, still answers child 1, stops both and
+        # raises an error that names child 0.
+        attached = {}
+
+        def child(env):
+            ticket = BootstrapTicket.from_env(env)
+            node = Node(host_label=ticket.host_label)
+            if ticket.child_index == 0:
+                with node:
+                    register(node, ticket, node.descriptor().to_json())
+                return
+            time.sleep(0.6)
+            start = time.monotonic()
+            try:
+                attached["result"] = attach_parent(node, ticket, timeout=4.0)
+            except Exception as exc:
+                attached["result"] = exc
+            attached["elapsed"] = time.monotonic() - start
+            node.close()
+
+        launcher = StopRecorder(child)
+        with cluster(1) as groups:
+            start = time.monotonic()
+            with pytest.raises(SpawnError, match="child_index 0"):
+                spawn(groups[0], SpawnSpec(program="-", count=2),
+                      launcher=launcher, timeout=4.0)
+            assert time.monotonic() - start < 1.5
+            for handle in launcher.launched:
+                handle.join(5)
+                assert not handle.is_alive()
+            assert launcher.stopped == launcher.launched
+            assert attached["elapsed"] < 1.5
+            assert isinstance(attached["result"], InterGroup)
+            assert allgather(groups[0], b"ok") == b"ok"
+
+    def test_descriptor_naming_another_process_is_protocol_error(self):
+        done = threading.Event()
+
+        def child(env):
+            ticket = BootstrapTicket.from_env(env)
+            with Node(host_label=ticket.host_label) as node:
+                impostor = MemberDescriptor(
+                    host_label=ticket.host_label,
+                    listen_address=node.listen_address,
+                    incarnation_id="impostor-1")
+                register(node, ticket, impostor.to_json())
+                done.wait(30)
+
+        launcher = StopRecorder(child)
+
+        def member(group):
+            start = time.monotonic()
+            with pytest.raises(ProtocolError, match="impostor-1"):
+                spawn(group, SpawnSpec(program="-", count=1),
+                      launcher=launcher if group.my_rank == 0 else None,
+                      timeout=10.0)
+            elapsed = time.monotonic() - start
+            return elapsed, allgather(group, bytes([group.my_rank]))
+
+        try:
+            with cluster(3) as groups:
+                results = run_members(member, groups)
+        finally:
+            done.set()
+            for handle in launcher.launched:
+                handle.join(5)
+                assert not handle.is_alive()
+        assert launcher.stopped == launcher.launched
+        assert [gathered for _, gathered in results] == [b"\x00\x01\x02"] * 3
+        assert all(elapsed < 2.0 for elapsed, _ in results), results
 
 
 class TestAttachParent:

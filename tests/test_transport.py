@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from egroup import transport, wire
+from egroup import Node, transport, wire
 from egroup.errors import (
     ConnectError,
     DeadlineExceeded,
@@ -62,6 +62,19 @@ def test_bind_conflict_is_setup_error():
             Endpoint(a.listen_address, "b", FencingState())
     finally:
         a.close()
+
+
+@pytest.mark.parametrize("make", [
+    lambda address: listen(address, "a"),
+    lambda address: Node(bind=address),
+], ids=["listen", "node"])
+@pytest.mark.parametrize("address", [
+    "nohostport", "127.0.0.1:notaport", "127.0.0.1:70000",
+], ids=["no-port", "bad-port", "port-range"])
+def test_malformed_bind_address_is_setup_error(address, make):
+    with pytest.raises(SetupError) as excinfo:
+        make(address)
+    assert isinstance(excinfo.value.__cause__, ValueError)
 
 
 def test_connect_to_closed_port_is_connect_error():

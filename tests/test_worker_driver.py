@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from egroup import wire
+from egroup import transport, wire
 from egroup.driver import CommandFailure, Driver, host_label_for_slot
 from egroup.errors import ProtocolError, SpawnError
 from egroup.spawner import (
@@ -90,6 +90,23 @@ class TestFleet:
             drv._send_command(drv.workers[0], drv._seq + 5, "ping")
             with pytest.raises(ProtocolError, match="never sent"):
                 drv.barrier()
+
+    def test_reply_on_a_strangers_channel_is_dropped(self):
+        with Driver(timeout=30) as drv:
+            drv.start_fleet(2)
+            forged = {"seq": drv._seq + 1, "ok": True, "rank": 7, "epoch": 0,
+                      "size": 2, "id": drv.workers[1].incarnation_id}
+            stranger = transport.listen("127.0.0.1:0", "stranger")
+            try:
+                stranger.connect(drv.node.listen_address).send(Envelope(
+                    epoch=0, tag=wire.TAG_DRIVER_REPLY, src_rank=wire.NO_RANK,
+                    dst_rank=wire.NO_RANK, payload=wire.json_payload(forged)))
+                # Let the driver buffer it ahead of the workers' replies.
+                time.sleep(0.2)
+                pings = drv.ping()
+            finally:
+                stranger.close()
+            assert sorted(m["rank"] for m in pings.values()) == [0, 1]
 
     def test_malformed_command_is_dropped(self):
         drv = Driver(timeout=30)
