@@ -6,16 +6,9 @@ paths at desk scale.
 Every public name resolves on first use (PEP 562), so importing one
 submodule, as a spawned worker does with ``egroup.worker``, loads only that
 submodule and what it imports, not the benchmark harness and driver.
-
-A process that a LocalProcessLauncher started adopts its launcher's code
-image here, before any other egroup module loads (see ``codeimage``).
 """
 
 import importlib
-
-from . import codeimage
-
-codeimage.adopt(__path__[0])
 
 __version__ = "0.1.0"
 

@@ -52,11 +52,17 @@ class Node:
     # -- groups ----------------------------------------------------------------
 
     def make_group(self, epoch: int, roster, my_rank: int) -> Group:
-        """A group bound to this node; advances the epoch fence past it."""
+        """A group bound to this node; advances the epoch fence past it and
+        drops the tag counters of the epochs below the fence, which
+        ``check_group_live`` refuses before they could draw a tag."""
         group = Group(epoch, tuple(roster), my_rank, node=self)
         if group.descriptor().incarnation_id != self.incarnation_id:
             raise ValueError("my_rank does not point at this node's descriptor")
         self.fencing.advance_to(epoch)
+        fence = self.fencing.current
+        with self._tag_lock:
+            self._tag_counters = {e: n for e, n in self._tag_counters.items()
+                                  if e >= fence}
         self.endpoint.purge_stale()
         return group
 

@@ -39,9 +39,10 @@ ENV_HOST_LABEL = "EG_HOST_LABEL"
 ENV_CHILD_COUNT = "EG_CHILD_COUNT"
 ENV_PREFIX = "EG_"
 
-# The directory holding this egroup package, first on every child's
-# PYTHONPATH so the child imports the same egroup as its parent, however
-# the parent found it.
+# Where this egroup package was imported from: the directory holding it, or
+# the code image this process was started with (FD_DIR/N). It is on every
+# child's PYTHONPATH, after the image, so the child imports the same egroup
+# as its parent, however the parent found it.
 IMPORT_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # How often the registration wait asks the launcher whether an unregistered
@@ -154,11 +155,12 @@ class Launcher:
 class LocalProcessLauncher(Launcher):
     """Run children as local subprocesses with the ticket in their environment.
 
-    Each child's PYTHONPATH starts with IMPORT_ROOT, and each child gets the
-    launcher's code image (see ``codeimage``): its descriptor through
-    ``pass_fds`` and the descriptor's number in ``codeimage.ENV_FD``. At its
-    first launch the launcher takes the image this process was handed, or
-    else builds one from the egroup package under IMPORT_ROOT; close()
+    Each child's PYTHONPATH starts with the launcher's code image (see
+    ``codeimage``), whose descriptor it gets through ``pass_fds``, then
+    IMPORT_ROOT. A launcher in a process started from an image passes that
+    image on; any other builds one from the egroup package under IMPORT_ROOT
+    at its first launch, and builds again at a later launch once a source
+    has changed, so a child always runs the current source. close()
     releases an image it built. Exited children are reaped by polling at
     each launch and stop, the way subprocess reaps abandoned Popen objects,
     so no thread waits on them. Keep one launcher for the life of the
@@ -171,32 +173,31 @@ class LocalProcessLauncher(Launcher):
         self.stdout = stdout
         self.stderr = stderr
         self._children = []
-        self._image = None  # () when there is no image, else (descriptor,)
-        self._built = ()
+        self._image = None  # (descriptor, sources) of the image it built
 
     def _reap(self) -> None:
         self._children = [p for p in self._children if p.poll() is None]
 
     def _image_fds(self) -> tuple:
+        """The image children get, for ``pass_fds``: (descriptor,) or ()."""
+        if os.path.dirname(IMPORT_ROOT) == codeimage.FD_DIR:
+            return (int(os.path.basename(IMPORT_ROOT)),)
+        package = os.path.join(IMPORT_ROOT, "egroup")
+        if self._image and self._image[1] != codeimage.sources(package):
+            self.close()
         if self._image is None:
-            if codeimage.adopted is not None:
-                self._image = (codeimage.adopted.fd,)
-            else:
-                fd = codeimage.build(os.path.join(IMPORT_ROOT, "egroup"))
-                self._image = self._built = () if fd is None else (fd,)
-        return self._image
+            self._image = codeimage.build(package)
+        return self._image[:1] if self._image else ()
 
     def launch(self, spec: SpawnSpec, index: int, ticket_env: dict):
         self._reap()
         env = {k: v for k, v in os.environ.items()
                if not k.startswith(ENV_PREFIX)}
-        paths = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = os.pathsep.join([IMPORT_ROOT] + [
-            p for p in (paths.split(os.pathsep) if paths else ())
-            if p != IMPORT_ROOT])
         image = self._image_fds()
-        if image:
-            env[codeimage.ENV_FD] = str(image[0])
+        paths = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(
+            [f"{codeimage.FD_DIR}/{n}" for n in image] + [IMPORT_ROOT]
+            + (paths.split(os.pathsep) if paths else [])))
         env.update(ticket_env)
         argv = [spec.program] + list(spec.args)
         import subprocess
@@ -227,9 +228,9 @@ class LocalProcessLauncher(Launcher):
     def close(self) -> None:
         """Release the code image this launcher built; a later launch builds
         a new one. Children already started keep their own descriptors."""
-        for fd in self._built:
-            os.close(fd)
-        self._image, self._built = None, ()
+        if self._image is not None:
+            os.close(self._image[0])
+        self._image = None
 
 
 class ThreadLauncher(Launcher):
@@ -386,7 +387,7 @@ def attach_parent(node: Node | None = None,
     try:
         # Adopt the parent's epoch before dialing so fencing on both ends agrees.
         node.fencing.advance_to(ticket.parent_epoch)
-        channel = node.endpoint.connect(ticket.parent_address)
+        channel = node.endpoint.connect(ticket.parent_address, timeout=deadline)
         channel.send(Envelope(
             epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REGISTER,
             src_rank=ticket.child_index, dst_rank=wire.NO_RANK,

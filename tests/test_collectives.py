@@ -294,6 +294,17 @@ class TestSplit:
 
             assert run_members(member, groups) == [b"\x00\x01"] * 2
 
+    def test_repeated_splits_keep_at_most_one_tag_counter(self):
+        # Each split draws its tags at the old epoch, and the new group
+        # drops the counters of the epochs below it.
+        with cluster(2) as groups:
+            def member(group):
+                for _ in range(5):
+                    group = split(group, SplitKey(color=0, key=group.my_rank))
+                return group.epoch, len(group.node._tag_counters) <= 1
+
+            assert run_members(member, groups) == [(5, True)] * 2
+
     def test_int64_extremes_order_ranks(self):
         keys = [2 ** 63 - 1, -2 ** 63, 0]
         with cluster(3) as groups:

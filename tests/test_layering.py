@@ -4,7 +4,8 @@ messages travel only through ``gather_decide``'s star, and every library
 receive can see the channel it came on. Timeouts:
 no public call takes a ``*_timeout`` parameter, and no module raises a bare
 TimeoutError. Bytecode: no module writes any, or changes the caller's
-bytecode settings."""
+bytecode settings, and no module has code that ``-O`` would compile
+differently."""
 
 import ast
 import pathlib
@@ -309,3 +310,32 @@ def test_check_sees_bytecode_writes(tmp_path):
         "sample.py:5 names PYTHONPYCACHEPREFIX",
         "sample.py:6 names PYTHONDONTWRITEBYTECODE",
         "sample.py:7 names PYTHONDONTWRITEBYTECODE"]
+
+
+def optimize_dependent(path):
+    """Yield each ``assert`` statement and each use of ``__debug__``: the
+    code that ``-O`` compiles differently. Without any, the code a launcher
+    compiles for its code image is what a ``-O`` child would compile."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in sorted(ast.walk(tree), key=lambda n: getattr(n, "lineno", 0)):
+        if isinstance(node, ast.Assert):
+            yield f"{path.name}:{node.lineno} asserts"
+        if isinstance(node, ast.Name) and node.id == "__debug__":
+            yield f"{path.name}:{node.lineno} reads __debug__"
+
+
+def test_no_module_depends_on_the_optimize_level():
+    found = [use for path in sorted(SRC.glob("*.py"))
+             for use in optimize_dependent(path)]
+    assert found == []
+
+
+def test_check_sees_optimize_dependent_code(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("def f(x):\n"
+                      "    assert x > 0, 'positive'\n"
+                      "    if __debug__:\n"
+                      "        print(x)\n"
+                      "    return debug or x\n")
+    assert list(optimize_dependent(sample)) == [
+        "sample.py:2 asserts", "sample.py:3 reads __debug__"]

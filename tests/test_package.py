@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import egroup
+from egroup import codeimage
 from egroup.driver import default_worker_command
 from egroup.spawner import IMPORT_ROOT, LocalProcessLauncher, SpawnSpec
 
@@ -16,7 +17,7 @@ from egroup.spawner import IMPORT_ROOT, LocalProcessLauncher, SpawnSpec
 NOT_ON_WORKER_PATH = ("egroup.bench", "egroup.driver", "egroup.cli", "csv",
                       "uuid", "platform", "subprocess", "dataclasses",
                       "inspect", "logging", "typing", "hashlib", "traceback",
-                      "site", "contextlib", "importlib.util")
+                      "site", "contextlib", "importlib.util", "zipfile")
 
 
 def test_worker_import_closure():
@@ -34,21 +35,27 @@ def test_worker_import_closure():
 
 
 def test_worker_import_closure_with_code_image():
-    # The same, in a child that the launcher starts with its code image.
+    # The same, in a child that the launcher starts with its code image: it
+    # loads egroup.worker from the image's zip and, as a launcher, passes
+    # that image on without building one.
     command = default_worker_command()
     code = ("import egroup.worker, sys; "
+            "from egroup.spawner import LocalProcessLauncher; "
+            "fds = LocalProcessLauncher()._image_fds(); "
             f"print(sorted(set({NOT_ON_WORKER_PATH!r}) & set(sys.modules)), "
-            "egroup.codeimage.adopted is not None)")
+            "egroup.worker.__file__, fds)")
     launcher = LocalProcessLauncher(stdout=subprocess.PIPE,
                                     stderr=subprocess.PIPE)
     try:
         proc = launcher.launch(SpawnSpec(
             program=command[0], args=command[1:-2] + ["-c", code]), 0, {})
         out, err = proc.communicate(timeout=60)
+        fd = launcher._image[0]
     finally:
         launcher.close()
     assert proc.returncode == 0, err.decode()
-    assert out.decode().strip() == "[] True"
+    assert out.decode().strip() == (
+        f"[] {codeimage.FD_DIR}/{fd}/egroup/worker.pyc ({fd},)")
 
 
 @pytest.mark.parametrize("name", egroup.__all__)

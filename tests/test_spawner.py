@@ -9,13 +9,20 @@ import subprocess
 import sys
 import threading
 import time
+import zipfile
 
 import pytest
 
 from egroup import Node, Side, ThreadLauncher, codeimage, spawner, wire
 from egroup.collectives import allgather, barrier
 from egroup.driver import Driver
-from egroup.errors import ConnectError, NotSpawnedError, ProtocolError, SpawnError
+from egroup.errors import (
+    ConnectError,
+    DeadlineExceeded,
+    NotSpawnedError,
+    ProtocolError,
+    SpawnError,
+)
 from egroup.groups import InterGroup, MemberDescriptor
 from egroup.spawner import (
     ENV_CHILD_COUNT,
@@ -405,6 +412,18 @@ class TestAttachParent:
                 attach_parent(node=node, ticket=ticket)
             assert not node.endpoint.closed
 
+    def test_unanswered_dial_ends_at_the_deadline(self):
+        # The parent's port accepts connections but never answers a hello.
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            ticket = BootstrapTicket(
+                parent_address=f"127.0.0.1:{server.getsockname()[1]}",
+                parent_epoch=0, child_index=0, host_label="h", child_count=1)
+            with Node(host_label="h") as node:
+                start = time.monotonic()
+                with pytest.raises(DeadlineExceeded):
+                    attach_parent(node, ticket, timeout=1.0)
+                assert time.monotonic() - start < 2.5
+
 
 class TestSpawnWithProcesses:
     def test_launcher_reaps_by_polling_without_threads(self):
@@ -428,10 +447,14 @@ class TestSpawnWithProcesses:
         launcher = LocalProcessLauncher(stdout=subprocess.PIPE)
         spec = SpawnSpec(program=sys.executable, args=(
             "-c", "import os; print(os.environ['PYTHONPATH'])"))
-        proc = launcher.launch(spec, 0, {})
-        out, _ = proc.communicate(timeout=30)
+        try:
+            proc = launcher.launch(spec, 0, {})
+            out, _ = proc.communicate(timeout=30)
+            image = f"{codeimage.FD_DIR}/{launcher._image[0]}"
+        finally:
+            launcher.close()
         assert out.decode().strip() == os.pathsep.join(
-            [IMPORT_ROOT, "/elsewhere"])
+            [image, IMPORT_ROOT, "/elsewhere"])
 
     def test_child_that_exits_before_registering_fails_fast(self):
         spec = SpawnSpec(program=sys.executable,
@@ -446,10 +469,11 @@ class TestSpawnWithProcesses:
 
     def test_spawn_without_launcher_keeps_one_per_node(self, monkeypatch):
         # A root handed no code image builds one at its first spawn, keeps
-        # it for the next, and releases it when its node closes.
+        # it for the next, and releases it when its node closes. This
+        # process imported egroup from a directory, not from an image.
+        assert os.path.isdir(os.path.join(IMPORT_ROOT, "egroup"))
         builds = []
         build = codeimage.build
-        monkeypatch.setattr(codeimage, "adopted", None)
         monkeypatch.setattr(codeimage, "build",
                             lambda path: builds.append(path) or build(path))
         spec = SpawnSpec(program=sys.executable,
@@ -490,8 +514,10 @@ class TestSpawnWithProcesses:
 
 
 # A child that records every egroup source it compiles, imports the worker,
-# registers with its parent and reports what it compiled, which egroup
-# modules it loaded, and wire.MARKER.
+# registers with its parent and reports what it compiled, the source file
+# of each egroup module it loaded, and wire.MARKER. zipimport gets a
+# module's code twice, once to name its file and once to run it, so a
+# source compiled from the zip is reported once.
 IMAGE_PROBE = """
 import builtins, json, os, sys
 compiled = []
@@ -506,9 +532,10 @@ from egroup import wire
 from egroup.spawner import attach_parent
 attach_parent(timeout=30).local_group.node.close()
 print(json.dumps({
-    "compiled": sorted(compiled),
-    "loaded": sorted(os.path.basename(m.__file__) for name, m in
-                     sys.modules.items() if name.split(".")[0] == "egroup"),
+    "compiled": sorted(set(compiled)),
+    "loaded": sorted(name.partition(".")[2] + ".py" if "." in name
+                     else "__init__.py" for name in sys.modules
+                     if name.split(".")[0] == "egroup"),
     "marker": getattr(wire, "MARKER", None)}))
 """
 
@@ -534,7 +561,17 @@ def piped_launcher():
     launcher.close()
 
 
-FROM_SOURCE_ONLY = ["__init__.py", "codeimage.py"]
+def pyc_offsets(fd):
+    """The offset of each ``.pyc`` entry's data in the image zip ``fd``."""
+    with zipfile.ZipFile(f"{codeimage.FD_DIR}/{fd}") as image:
+        infos = [i for i in image.infolist() if i.filename.endswith(".pyc")]
+    offsets = []
+    for info in infos:
+        header = os.pread(fd, 30, info.header_offset)  # local file header
+        offsets.append(info.header_offset + 30
+                       + int.from_bytes(header[26:28], "little")
+                       + int.from_bytes(header[28:30], "little"))
+    return offsets
 
 
 class TestCodeImage:
@@ -542,7 +579,7 @@ class TestCodeImage:
             self, piped_launcher):
         report = run_probe(piped_launcher)
         assert "worker.py" in report["loaded"]
-        assert report["compiled"] == FROM_SOURCE_ONLY
+        assert report["compiled"] == []
 
     def test_changed_module_runs_its_new_source(self, piped_launcher,
                                                 tmp_path, monkeypatch):
@@ -551,26 +588,64 @@ class TestCodeImage:
                         ignore=shutil.ignore_patterns("__pycache__"))
         monkeypatch.setattr(spawner, "IMPORT_ROOT", str(tmp_path))
         first = run_probe(piped_launcher)  # builds the image from the copy
-        assert (first["compiled"], first["marker"]) == (FROM_SOURCE_ONLY, None)
+        assert (first["compiled"], first["marker"]) == ([], None)
         with open(tmp_path / "egroup" / "wire.py", "a") as f:
             f.write("MARKER = 'new'\n")
         second = run_probe(piped_launcher)
-        assert second["compiled"] == FROM_SOURCE_ONLY + ["wire.py"]
+        assert second["compiled"] == []
         assert second["marker"] == "new"
+
+    def test_added_changed_or_removed_module_rebuilds(self, piped_launcher, tmp_path,
+                                              monkeypatch):
+        shutil.copytree(os.path.join(IMPORT_ROOT, "egroup"),
+                        tmp_path / "egroup",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(spawner, "IMPORT_ROOT", str(tmp_path))
+
+        def entries():
+            fd, = piped_launcher._image_fds()
+            with zipfile.ZipFile(f"{codeimage.FD_DIR}/{fd}") as image:
+                return {n for n in image.namelist() if "extra" in n}
+
+        assert entries() == set()
+        (tmp_path / "egroup" / "extra.py").write_text("X = 1\n")
+        assert entries() == {"egroup/extra.py", "egroup/extra.pyc"}
+        # A module that does not compile keeps only its source entry.
+        (tmp_path / "egroup" / "extra.py").write_text("X = (\n")
+        assert entries() == {"egroup/extra.py"}
+        (tmp_path / "egroup" / "extra.py").unlink()
+        assert entries() == set()
 
     @pytest.mark.parametrize("foreign", ["tag", "magic", "optimize"])
     def test_foreign_header_is_ignored(self, piped_launcher, foreign):
         run_probe(piped_launcher)  # builds the image
-        flags = ()
+        fd = piped_launcher._image[0]
         if foreign == "optimize":
-            flags = ("-O",)
+            # src/ reads no __debug__ and has no assert, so the launcher's
+            # compile serves a -O child too (tests/test_layering.py).
+            assert run_probe(piped_launcher, "-O")["compiled"] == []
+            return
+        if foreign == "tag":
+            # The end-of-central-directory record's signature: the path
+            # hook refuses the zip, and egroup comes from IMPORT_ROOT.
+            offsets = [os.fstat(fd).st_size - 22]
         else:
-            offset = (0 if foreign == "tag" else
-                      codeimage.HEADER.index(codeimage.MAGIC_NUMBER))
-            byte = os.pread(piped_launcher._image[0], 1, offset)
-            os.pwrite(piped_launcher._image[0], bytes([byte[0] ^ 0xFF]),
-                      offset)
-        report = run_probe(piped_launcher, *flags)
+            # Every pyc's magic number: zipimport compiles the .py entries.
+            offsets = pyc_offsets(fd)
+            assert len(offsets) == len(
+                codeimage.sources(os.path.join(IMPORT_ROOT, "egroup")))
+        for offset in offsets:
+            byte = os.pread(fd, 1, offset)
+            os.pwrite(fd, bytes([byte[0] ^ 0xFF]), offset)
+        report = run_probe(piped_launcher)
+        assert report["compiled"] == report["loaded"]
+
+    def test_without_memfd_the_child_compiles_from_source(
+            self, piped_launcher, monkeypatch):
+        monkeypatch.delattr(os, "memfd_create")
+        report = run_probe(piped_launcher)
+        assert piped_launcher._image is None
+        assert "worker.py" in report["loaded"]
         assert report["compiled"] == report["loaded"]
 
     def test_driver_close_releases_the_image(self):

@@ -71,6 +71,27 @@ def test_unpack_rejects_oversized_frame():
         wire.unpack(huge)
 
 
+def test_cut_frames_yields_whole_frames_and_keeps_the_rest():
+    envs = [Envelope(epoch=1, tag=2, src_rank=i, dst_rank=0, payload=b"p" * i)
+            for i in range(3)]
+    third = wire.pack(envs[2])
+    buf = bytearray(wire.pack(envs[0]) + wire.pack(envs[1]) + third[:3])
+    assert list(wire.cut_frames(buf)) == envs[:2]
+    assert buf == third[:3]
+    buf += third[3:]
+    assert list(wire.cut_frames(buf)) == envs[2:]
+    assert buf == b""
+
+
+@pytest.mark.parametrize("length", [wire.MAX_FRAME_BYTES + 1,
+                                    wire.HEADER.size - 1],
+                         ids=["oversized", "shorter-than-header"])
+def test_cut_frames_rejects_a_bad_length(length):
+    buf = bytearray(struct.pack(">I", length) + b"\x00" * wire.HEADER.size)
+    with pytest.raises(ProtocolError):
+        list(wire.cut_frames(buf))
+
+
 def test_envelope_validates_fields():
     with pytest.raises(ValueError):
         Envelope(epoch=-1, tag=0, src_rank=0, dst_rank=0)
