@@ -8,8 +8,6 @@ submodule, as a spawned worker does with ``egroup.worker``, loads only that
 submodule and what it imports, not the benchmark harness and driver.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # The public names each submodule defines.
@@ -41,7 +39,8 @@ def __getattr__(name):
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    # As ``from .module import name`` does; importlib would load in workers.
+    value = getattr(__import__(module, globals(), None, (name,), 1), name)
     globals()[name] = value
     return value
 

@@ -73,7 +73,7 @@ def gather_decide(group: Group, root: int, block: bytes, decide,
                                        node.next_collective_tag(group.epoch))
     block = bytes(block)
     if group.my_rank != root:
-        node.send(group, root, tag_gather, block)
+        node.send(group, root, tag_gather, block, deadline)
         reply = node.recv_on(group, tag_publish, src_rank=root,
                              timeout=deadline.for_outcome())
         return unwrap_outcome(reply.payload)
@@ -89,10 +89,13 @@ def gather_decide(group: Group, root: int, block: bytes, decide,
         outcome = ok_outcome(result)
     except Exception as exc:
         error, outcome = exc, error_outcome(exc)
-    # A member that cannot be reached does not keep the rest waiting.
+    # A member that cannot be reached does not keep the rest waiting. A
+    # member waits for the outcome OUTCOME_SLACK past the deadline, so a
+    # root that gave up at the deadline may still dial it until then.
+    publish_by = deadline.for_outcome()
     for dst in others:
         try:
-            node.send(group, dst, tag_publish, outcome)
+            node.send(group, dst, tag_publish, outcome, publish_by)
         except EGroupError as exc:
             error = error or exc
     if error is not None:

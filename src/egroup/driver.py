@@ -28,7 +28,7 @@ from .errors import (
 from .groups import MemberDescriptor
 from .node import Node
 from .spawner import LocalProcessLauncher, SpawnSpec, launch_and_register
-from .transport import match_fields
+from .transport import HANDSHAKE_TIMEOUT, match_fields
 from .wire import Deadline, Envelope
 
 log = DeferredLogger(__name__)
@@ -40,8 +40,10 @@ STOP_GRACE = 2.0
 def default_worker_command() -> list:
     """Command line that starts the worker program in this interpreter,
     without ``site``: the worker needs only the standard library, and the
-    launcher puts egroup's import root on the child's PYTHONPATH."""
-    return [sys.executable, "-S", "-m", "egroup.worker"]
+    launcher puts egroup's import root on the child's PYTHONPATH. It runs
+    ``-c``, not ``-m egroup.worker``, because ``runpy`` would load
+    ``importlib.util``, ``contextlib`` and ``warnings`` into every worker."""
+    return [sys.executable, "-S", "-c", "from egroup.worker import main; main()"]
 
 
 def host_label_for_slot(slot: int, slots_per_host: int) -> str:
@@ -127,11 +129,14 @@ class Driver:
         self._seq += 1
         return self._seq
 
-    def _send_command(self, handle: WorkerHandle, seq: int, op: str, **params):
+    def _send_command(self, handle: WorkerHandle, seq: int, op: str,
+                      deadline=HANDSHAKE_TIMEOUT, **params):
+        """Send command ``seq``; ``deadline`` bounds a dial to the worker."""
         self.node.send_to(handle.member, Envelope(
             epoch=max(handle.epoch, 0), tag=wire.TAG_DRIVER_CMD,
             src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-            payload=wire.json_payload({**params, "op": op, "seq": seq})))
+            payload=wire.encode_payload({**params, "op": op, "seq": seq})),
+            deadline)
 
     def _answers(self, msg: dict, seq: int, sender: str, addressed) -> bool:
         """Whether ``msg``, which came on ``sender``'s channel, answers
@@ -165,13 +170,13 @@ class Driver:
         seq = self._next_seq()
         for handle in handles:
             extra = (per_worker_params or {}).get(handle.incarnation_id, {})
-            self._send_command(handle, seq, op, **{**params, **extra})
+            self._send_command(handle, seq, op, deadline, **{**params, **extra})
         wait, replies = deadline.for_outcome(), {}
         addressed = {handle.incarnation_id for handle in handles}
         while len(replies) < len(handles):
             env, channel = self.node.endpoint.recv_with_channel(
                 match_fields(tag=wire.TAG_DRIVER_REPLY), wait)
-            msg = wire.parse_json_payload(env.payload)
+            msg = wire.decode_payload(env.payload)
             if self._answers(msg, seq, channel.peer_id, addressed):
                 replies[channel.peer_id] = msg
         for handle in handles:
@@ -224,7 +229,7 @@ class Driver:
             self._check_position(handle, replies[handle.incarnation_id])
         root = replies[self.workers[0].incarnation_id]
         children = [
-            WorkerHandle(member=MemberDescriptor.from_json(m),
+            WorkerHandle(member=MemberDescriptor.from_fields(m),
                          rank=self.size + j, epoch=new_epoch)
             for j, m in enumerate(root.get("children", ()))]
         if len(children) != delta:

@@ -46,7 +46,7 @@ class MemberDescriptor(Value):
         parse_address(listen_address)
         self._init_fields(host_label, listen_address, incarnation_id)
 
-    def to_json(self) -> dict:
+    def to_fields(self) -> dict:
         return {
             "host_label": self.host_label,
             "listen_address": self.listen_address,
@@ -54,7 +54,7 @@ class MemberDescriptor(Value):
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "MemberDescriptor":
+    def from_fields(cls, obj: dict) -> "MemberDescriptor":
         try:
             return cls(
                 host_label=obj["host_label"],

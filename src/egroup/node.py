@@ -77,23 +77,27 @@ class Node:
                                      expect_id=member.incarnation_id,
                                      timeout=timeout)
 
-    def send_to(self, member: MemberDescriptor, envelope: Envelope) -> None:
-        """Send outside any group context (bootstrap, merge control)."""
+    def send_to(self, member: MemberDescriptor, envelope: Envelope,
+                timeout=HANDSHAKE_TIMEOUT) -> None:
+        """Send outside any group context (bootstrap, merge control).
+        ``timeout`` (seconds or a Deadline) bounds a dial, its retry included."""
+        deadline = Deadline.of(timeout)
         try:
-            self.channel_to(member).send(envelope)
+            self.channel_to(member, deadline).send(envelope)
         except DeliveryError:
             # The channel may have been collapsed by a concurrent duplicate
             # connect; one fresh attempt covers that.
-            self.channel_to(member).send(envelope)
+            self.channel_to(member, deadline).send(envelope)
 
-    def send(self, group: Group, dst_rank: int, tag: int, payload: bytes) -> None:
+    def send(self, group: Group, dst_rank: int, tag: int, payload: bytes,
+             timeout=HANDSHAKE_TIMEOUT) -> None:
         """Send one envelope within ``group``, refusing stale or retired epochs
-        before anything reaches the wire."""
+        before anything reaches the wire; ``timeout`` bounds a dial."""
         self.check_group_live(group)
         self.send_to(group.member(dst_rank),
                      Envelope(epoch=group.epoch, tag=tag,
                               src_rank=group.my_rank, dst_rank=dst_rank,
-                              payload=payload))
+                              payload=payload), timeout)
 
     def recv_on(self, group: Group, tag: int, src_rank: int,
                 timeout: float | None = None) -> Envelope:

@@ -69,7 +69,7 @@ class SpawnSpec(wire.Value):
         self._init_fields(program, args, count, host_labels)
 
     def digest(self) -> bytes:
-        body = wire.json_payload({
+        body = wire.encode_payload({
             "program": self.program,
             "args": list(self.args),
             "count": self.count,
@@ -278,11 +278,11 @@ def spawn(group: Group, spec: SpawnSpec,
         remote = launch_and_register(
             node, spec, launcher or node.launcher, deadline, handles=[],
             epoch=group.epoch, parents=group.roster)
-        return wire.json_payload({"children": [m.to_json() for m in remote]})
+        return wire.encode_payload({"children": [m.to_fields() for m in remote]})
 
-    outcome = wire.parse_json_payload(
+    outcome = wire.decode_payload(
         gather_decide(group, 0, spec.digest(), launch, deadline))
-    remote = tuple(MemberDescriptor.from_json(m) for m in outcome["children"])
+    remote = tuple(MemberDescriptor.from_fields(m) for m in outcome["children"])
     return InterGroup(local_group=group, remote_roster=remote, side=Side.PARENT)
 
 
@@ -339,17 +339,17 @@ def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,
             if not 0 <= index < spec.count or index in registered:
                 raise ProtocolError(
                     f"registration with bad or repeated child_index {index}")
-            member = MemberDescriptor.from_json(
-                wire.parse_json_payload(env.payload))
+            member = MemberDescriptor.from_fields(
+                wire.decode_payload(env.payload))
             if member.incarnation_id != channel.peer_id:
                 raise ProtocolError(
                     f"child_index {index} registered {member.incarnation_id} "
                     f"on the channel of {channel.peer_id}")
             registered[index], channels[index] = member, channel
         remote = tuple(registered[i] for i in range(spec.count))
-        outcome = ok_outcome(wire.json_payload({
-            "parents": [m.to_json() for m in parents],
-            "children": [m.to_json() for m in remote]}))
+        outcome = ok_outcome(wire.encode_payload({
+            "parents": [m.to_fields() for m in parents],
+            "children": [m.to_fields() for m in remote]}))
     except Exception as exc:
         error, outcome = exc, error_outcome(SpawnError(f"spawn aborted: {exc}"))
 
@@ -391,12 +391,12 @@ def attach_parent(node: Node | None = None,
         channel.send(Envelope(
             epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REGISTER,
             src_rank=ticket.child_index, dst_rank=wire.NO_RANK,
-            payload=wire.json_payload(node.descriptor().to_json())))
+            payload=wire.encode_payload(node.descriptor().to_fields())))
         match = match_fields(epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REPLY)
         reply = node.recv_from(channel.peer_id, match, deadline.for_outcome())
-        outcome = wire.parse_json_payload(unwrap_outcome(reply.payload))
+        outcome = wire.decode_payload(unwrap_outcome(reply.payload))
         siblings, parents = (
-            tuple(MemberDescriptor.from_json(m) for m in outcome[roster])
+            tuple(MemberDescriptor.from_fields(m) for m in outcome[roster])
             for roster in ("children", "parents"))
         local = node.make_group(ticket.parent_epoch, siblings, ticket.child_index)
         return InterGroup(local_group=local, remote_roster=parents,

@@ -44,7 +44,7 @@ def _control(kind: str, frame_epoch: int = 0, /, **fields) -> Envelope:
     """A tag-0 control envelope; ``fields`` may carry their own epoch."""
     return Envelope(epoch=frame_epoch, tag=wire.TAG_CONTROL,
                     src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-                    payload=wire.json_payload({**fields, "kind": kind}))
+                    payload=wire.encode_payload({**fields, "kind": kind}))
 
 
 def _dial_error(deadline: Deadline, what: str,
@@ -227,12 +227,16 @@ class Endpoint:
         try:
             sock.sendall(wire.pack(_control(
                 "hello", max(epoch, 0), incarnation_id=self.identity, epoch=epoch)))
-            msg = wire.parse_json_payload(wire.read_envelope(sock).payload)
+            msg = wire.decode_payload(wire.read_envelope(sock).payload)
         except (OSError, ProtocolError) as exc:
             sock.close()
             raise _dial_error(deadline, f"handshake with {address} failed",
                               exc) from exc
         kind, peer_id = msg.get("kind"), msg.get("incarnation_id")
+        peer_epoch = msg.get("epoch")
+        if type(peer_id) is not str or type(peer_epoch) is not int:
+            sock.close()
+            raise ConnectError(f"malformed handshake reply from {address}: {msg}")
         if kind != "hello_ok" or (expect_id is not None and peer_id != expect_id):
             sock.close()
         if kind == "hello_reject":
@@ -244,8 +248,8 @@ class Endpoint:
                                   "no surviving channel")
             raise FencingError(
                 f"peer at {address} rejected handshake: epoch {epoch} is stale "
-                f"(peer is at {msg.get('epoch')})",
-                envelope_epoch=epoch, receiver_epoch=msg.get("epoch"))
+                f"(peer is at {peer_epoch})",
+                envelope_epoch=epoch, receiver_epoch=peer_epoch)
         if kind != "hello_ok":
             raise ConnectError(f"unexpected handshake reply {kind!r} from {address}")
         if expect_id is not None and peer_id != expect_id:
@@ -379,7 +383,7 @@ class Endpoint:
                 if channel in self._handshakes:
                     self._answer_hello(channel, envelope)
                 elif envelope.tag == wire.TAG_CONTROL:
-                    msg = wire.parse_json_payload(envelope.payload)
+                    msg = wire.decode_payload(envelope.payload)
                     if msg.get("kind") == "reject_notice":
                         channel._push_notice(msg)
                 elif self.fencing.is_stale(envelope.epoch):
@@ -398,10 +402,10 @@ class Endpoint:
         """Handle the first frame of an accepted connection: admit the dialer,
         or refuse it as stale or as the losing duplicate."""
         del self._handshakes[channel]
-        msg = wire.parse_json_payload(hello.payload)
+        msg = wire.decode_payload(hello.payload)
         peer_id, peer_epoch = msg.get("incarnation_id"), msg.get("epoch")
-        if not (msg.get("kind") == "hello" and isinstance(peer_id, str)
-                and isinstance(peer_epoch, int)):
+        if not (msg.get("kind") == "hello" and type(peer_id) is str
+                and type(peer_epoch) is int):
             raise ProtocolError(f"expected a hello, got {msg}")
         kind, fields = "hello_ok", {"epoch": self.fencing.current}
         with self._lock:
@@ -411,7 +415,7 @@ class Endpoint:
                 kind, fields["reason"] = "hello_reject", "stale_epoch"
             elif (existing is not None and not existing.closed
                     and existing.initiator_id < peer_id):
-                kind, fields = "hello_reject", {"reason": "duplicate"}
+                kind, fields["reason"] = "hello_reject", "duplicate"
         try:
             channel.send(_control(kind, incarnation_id=self.identity, **fields))
         except DeliveryError:

@@ -6,11 +6,20 @@ Tag 0 is reserved for transport control messages (handshake and rejection
 notices); tags 1-15 are reserved for the driver command protocol;
 application traffic and collectives use tags from 16 upward, plus a few fixed
 high tags for spawn/merge control.
+
+Structured payloads (control messages, registrations, outcomes, driver
+commands and replies) are dicts in one binary value codec,
+``encode_payload``/``decode_payload``: each value is one type byte and its
+body, all numbers big-endian. None, False and True are the type byte alone;
+an int is a signed 64-bit integer, a float an IEEE double; a str is a u32
+byte length and its UTF-8 bytes (``surrogatepass``, so every str
+round-trips); a list (or tuple) is a u32 count and its items; a dict is a
+u32 count and its pairs, each a key (a u32 length and UTF-8 bytes, no type
+byte) and a value, keys sorted so equal dicts encode to identical bytes.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 import sys
 import time
@@ -249,19 +258,130 @@ def cut_frames(buf: bytearray):
         del buf[:start]
 
 
-def json_payload(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True).encode()
+# Type bytes of the payload codec.
+_NONE, _FALSE, _TRUE, _INT, _FLOAT, _STR, _LIST, _DICT = range(8)
+_U32 = struct.Struct(">I")
+_I64 = struct.Struct(">q")
+_F64 = struct.Struct(">d")
+# A type byte and what follows it, packed in one call.
+_SIZED = struct.Struct(">BI")
+_TYPED_INT = struct.Struct(">Bq")
+_TYPED_FLOAT = struct.Struct(">Bd")
+# Deepest nesting of lists and dicts in a payload; the top-level dict is 1.
+MAX_NESTING = 16
 
 
-def parse_json_payload(payload: bytes) -> dict:
-    """Parse a payload that must hold one JSON object."""
+def encode_payload(obj) -> bytes:
+    """Encode a value of None, bool, int, float, str, list, tuple and
+    str-keyed dict; any other type raises TypeError, an int outside int64
+    or nesting deeper than MAX_NESTING ValueError."""
+    out = bytearray()
+    _encode(obj, out, 0)
+    return bytes(out)
+
+
+def _encode(obj, out: bytearray, depth: int) -> None:
+    kind = type(obj)
+    if kind is str:
+        data = obj.encode("utf-8", "surrogatepass")
+        out += _SIZED.pack(_STR, len(data))
+        out += data
+    elif kind is int:
+        try:
+            out += _TYPED_INT.pack(_INT, obj)
+        except struct.error:
+            raise ValueError(f"int {obj} does not fit in 64 bits") from None
+    elif kind is bool:
+        out.append(_TRUE if obj else _FALSE)
+    elif obj is None:
+        out.append(_NONE)
+    elif kind is float:
+        out += _TYPED_FLOAT.pack(_FLOAT, obj)
+    elif kind is dict or kind is list or kind is tuple:
+        if depth == MAX_NESTING:
+            raise ValueError(f"payload nests deeper than {MAX_NESTING}")
+        out += _SIZED.pack(_DICT if kind is dict else _LIST, len(obj))
+        depth += 1
+        if kind is dict:
+            for key in sorted(obj):
+                if type(key) is not str:
+                    raise TypeError(f"payload key {key!r} is not a str")
+                data = key.encode("utf-8", "surrogatepass")
+                out += _U32.pack(len(data))
+                out += data
+                _encode(obj[key], out, depth)
+        else:
+            for item in obj:
+                _encode(item, out, depth)
+    else:
+        raise TypeError(f"cannot encode {kind.__name__} in a payload")
+
+
+def decode_payload(data) -> dict:
+    """Decode a payload that must hold one dict. Any other bytes raise
+    ProtocolError: a truncated value, a length or count past the end of the
+    data, bad UTF-8, an unknown type byte, nesting deeper than MAX_NESTING,
+    trailing bytes or a top-level value that is not a dict."""
+    # Slicing bytes and decoding the slice beats decoding a memoryview's.
+    data = bytes(data)
     try:
-        obj = json.loads(payload.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"malformed JSON payload: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ProtocolError(f"JSON payload is a {type(obj).__name__}, not an object")
+        obj, end = _decode(data, 0, 0)
+    except (IndexError, struct.error):
+        raise ProtocolError("truncated payload") from None
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"payload string is not UTF-8: {exc}") from None
+    if end != len(data):
+        raise ProtocolError(f"{len(data) - end} trailing bytes after payload")
+    if type(obj) is not dict:
+        raise ProtocolError(
+            f"payload is a {type(obj).__name__}, not a dict")
     return obj
+
+
+def _decode_str(data: bytes, pos: int) -> tuple:
+    """The str whose u32 length is at ``pos``, and the offset after it."""
+    start = pos + 4
+    end = start + _U32.unpack_from(data, pos)[0]
+    if end > len(data):
+        raise ProtocolError(f"string of {end - start} bytes runs past the payload")
+    return data[start:end].decode("utf-8", "surrogatepass"), end
+
+
+def _decode(data: bytes, pos: int, depth: int) -> tuple:
+    """The value at ``pos`` and the offset after it."""
+    kind = data[pos]
+    if kind == _STR:
+        return _decode_str(data, pos + 1)
+    if kind == _INT:
+        return _I64.unpack_from(data, pos + 1)[0], pos + 9
+    if kind <= _TRUE:
+        return (None, False, True)[kind], pos + 1
+    if kind == _FLOAT:
+        return _F64.unpack_from(data, pos + 1)[0], pos + 9
+    if kind > _DICT:
+        raise ProtocolError(f"unknown payload type byte {kind}")
+    if depth == MAX_NESTING:
+        raise ProtocolError(f"payload nests deeper than {MAX_NESTING}")
+    count = _U32.unpack_from(data, pos + 1)[0]
+    pos += 5
+    # Every item takes at least one byte, every dict entry five.
+    if count * (5 if kind == _DICT else 1) > len(data) - pos:
+        raise ProtocolError(f"count {count} runs past the payload")
+    depth += 1
+    if kind == _LIST:
+        items = [None] * count
+        for i in range(count):
+            # A call less per string, as in a reply's list of ids.
+            if data[pos] == _STR:
+                items[i], pos = _decode_str(data, pos + 1)
+            else:
+                items[i], pos = _decode(data, pos, depth)
+        return items, pos
+    fields = {}
+    for _ in range(count):
+        key, pos = _decode_str(data, pos)
+        fields[key], pos = _decode(data, pos, depth)
+    return fields, pos
 
 
 # An outcome is a status byte and then either the result or the error fields.
@@ -274,11 +394,11 @@ def ok_outcome(payload: bytes) -> bytes:
 
 
 def error_outcome(exc: Exception) -> bytes:
-    return _ERR + json_payload(error_fields(exc))
+    return _ERR + encode_payload(error_fields(exc))
 
 
 def unwrap_outcome(payload: bytes) -> bytes:
     """Return the result of an ok outcome, or raise the error it carries."""
     if payload[:1] == _OK:
         return payload[1:]
-    raise error_from_fields(parse_json_payload(payload[1:]))
+    raise error_from_fields(decode_payload(payload[1:]))

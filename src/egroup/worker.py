@@ -135,7 +135,7 @@ def _execute(group, cmd: dict):
         return group, {
             "total_s": time.perf_counter() - start,
             "spawn_s": phases.get("spawn_s", 0.0),
-            "children": [m.to_json() for m in group.roster[size_before:]],
+            "children": [m.to_fields() for m in group.roster[size_before:]],
             **_position(group)}
     if op == "scale_in":
         outcome = scale_in(group, cmd["is_removing"], timeout=timeout)
@@ -157,7 +157,7 @@ def _serve(group) -> None:
         cmd_env, channel = node.endpoint.recv_with_channel(
             match_fields(tag=wire.TAG_DRIVER_CMD))
         try:
-            cmd = wire.parse_json_payload(cmd_env.payload)
+            cmd = wire.decode_payload(cmd_env.payload)
         except ProtocolError as exc:
             log.warning("dropping malformed driver command: %s", exc)
             continue
@@ -170,7 +170,7 @@ def _serve(group) -> None:
         channel.send(Envelope(
             epoch=max(node.fencing.current, 0), tag=wire.TAG_DRIVER_REPLY,
             src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-            payload=wire.json_payload(body)))
+            payload=wire.encode_payload(body)))
         if body.get("retired"):
             _drain_rejections(node)
 

@@ -54,7 +54,8 @@ class TestBenchConfig:
         assert BenchConfig(initial=1, deltas=(1,),
                            child_program="/x/w").worker_command() == ["/x/w"]
         default = BenchConfig(initial=1, deltas=(1,)).worker_command()
-        assert default[-2:] == ["-m", "egroup.worker"]
+        assert default[1:] == ["-S", "-c",
+                               "from egroup.worker import main; main()"]
 
 
 class TestHostsFor:

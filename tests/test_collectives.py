@@ -7,6 +7,7 @@ live-group test relies on it.
 
 import hashlib
 import itertools
+import socket
 import threading
 import time
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from egroup import (
     Group,
     InterGroup,
+    MemberDescriptor,
     Node,
     RetirementToken,
     Side,
@@ -180,6 +182,22 @@ class TestAllgather:
                 return True
 
             assert run_members(member, groups) == [True, True, True]
+
+    def test_dial_to_a_silent_root_ends_at_the_deadline(self):
+        # Rank 0 is a listener that accepts the dial but never answers the
+        # hello; rank 1's send to it is bound by the call's deadline.
+        silent = socket.create_server(("127.0.0.1", 0))
+        host, port = silent.getsockname()
+        root = MemberDescriptor("h", f"{host}:{port}", "silent.0")
+        try:
+            with Node(host_label="h") as node:
+                group = node.make_group(0, (root, node.descriptor()), 1)
+                start = time.monotonic()
+                with pytest.raises(DeadlineExceeded):
+                    allgather(group, b"x", timeout=1.0)
+                assert time.monotonic() - start < 2.0
+        finally:
+            silent.close()
 
     def test_staggered_entry_times_out_everywhere(self):
         # Rank i enters 0.8*i s late with a 1 s timeout: rank 0 gives up

@@ -45,14 +45,14 @@ class TestMemberDescriptor:
 
     def test_json_round_trip(self):
         m = member(3)
-        assert MemberDescriptor.from_json(m.to_json()) == m
+        assert MemberDescriptor.from_fields(m.to_fields()) == m
 
     def test_from_json_rejects_malformed(self):
         fields = {"listen_address": "127.0.0.1:1", "incarnation_id": "x"}
         for obj in ({"host_label": "a"}, {"host_label": 5, **fields},
                     {"host_label": "", **fields}):
             with pytest.raises(ProtocolError):
-                MemberDescriptor.from_json(obj)
+                MemberDescriptor.from_fields(obj)
 
     @pytest.mark.parametrize("address", ["nohostport", ":1", "h:", "h:notaport",
                                          "h:65536", "h:-1", 5, None])
@@ -62,7 +62,7 @@ class TestMemberDescriptor:
                              incarnation_id="x")
         # From a peer, the same descriptor is a protocol error.
         with pytest.raises(ProtocolError):
-            MemberDescriptor.from_json({"host_label": "a",
+            MemberDescriptor.from_fields({"host_label": "a",
                                         "listen_address": address,
                                         "incarnation_id": "x"})
 
@@ -185,5 +185,5 @@ class TestRosterDigest:
 
     def test_identical_rosters_agree(self):
         a = roster_of(4)
-        b = tuple(MemberDescriptor.from_json(m.to_json()) for m in a)
+        b = tuple(MemberDescriptor.from_fields(m.to_fields()) for m in a)
         assert roster_digest(a) == roster_digest(b)

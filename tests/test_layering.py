@@ -1,7 +1,8 @@
 """Module boundaries: no egroup module reaches into another's private names,
 only the spawner starts processes, every wire tag has a user, group
 messages travel only through ``gather_decide``'s star, and every library
-receive can see the channel it came on. Timeouts:
+receive can see the channel it came on. Imports: no module loads ``json``,
+and none loads ``importlib`` when it is imported. Timeouts:
 no public call takes a ``*_timeout`` parameter, and no module raises a bare
 TimeoutError. Bytecode: no module writes any, or changes the caller's
 bytecode settings, and no module has code that ``-O`` would compile
@@ -47,6 +48,55 @@ def test_check_sees_private_imports(tmp_path):
                       "wire._OK\n")
     assert list(private_uses(sample)) == [
         "sample.py:1 imports _err", "sample.py:3 uses wire._OK"]
+
+
+def worker_weight_imports(path):
+    """Yield each import of ``json``, anywhere, and each import of
+    ``importlib`` that runs when the module is imported (outside a
+    function): a worker imports every module but runs few functions."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    in_functions = {id(node) for fn in ast.walk(tree)
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for node in ast.walk(fn) if node is not fn}
+    for node in sorted(ast.walk(tree), key=lambda n: getattr(n, "lineno", 0)):
+        names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                 else [node.module] if isinstance(node, ast.ImportFrom)
+                 and node.level == 0 else [])
+        for name in names:
+            top = name.split(".")[0]
+            if top == "json":
+                yield f"{path.name}:{node.lineno} imports {name}"
+            elif top == "importlib" and id(node) not in in_functions:
+                yield f"{path.name}:{node.lineno} imports {name} at import time"
+
+
+def test_no_module_imports_json_or_importlib_at_import_time():
+    found = [use for path in sorted(SRC.glob("*.py"))
+             for use in worker_weight_imports(path)]
+    assert found == []
+
+
+def test_check_sees_json_and_import_time_importlib(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import json\n"
+                      "from json import loads\n"
+                      "import importlib\n"
+                      "from importlib import util\n"
+                      "from . import jsonish\n"
+                      "def build():\n"
+                      "    import importlib.util\n"
+                      "    from json.decoder import JSONDecoder\n"
+                      "if build:\n"
+                      "    import importlib.machinery\n"
+                      "class Loader:\n"
+                      "    import importlib.abc\n")
+    assert list(worker_weight_imports(sample)) == [
+        "sample.py:1 imports json", "sample.py:2 imports json",
+        "sample.py:3 imports importlib at import time",
+        "sample.py:4 imports importlib at import time",
+        "sample.py:8 imports json.decoder",
+        "sample.py:10 imports importlib.machinery at import time",
+        "sample.py:12 imports importlib.abc at import time"]
 
 
 def popen_calls(path):

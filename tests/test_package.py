@@ -17,17 +17,25 @@ from egroup.spawner import IMPORT_ROOT, LocalProcessLauncher, SpawnSpec
 NOT_ON_WORKER_PATH = ("egroup.bench", "egroup.driver", "egroup.cli", "csv",
                       "uuid", "platform", "subprocess", "dataclasses",
                       "inspect", "logging", "typing", "hashlib", "traceback",
-                      "site", "contextlib", "importlib.util", "zipfile")
+                      "site", "contextlib", "importlib", "importlib.util",
+                      "zipfile", "json", "re", "runpy", "warnings")
+WORKER_ENTRY = "from egroup.worker import main; "
+
+
+def probe_command(code):
+    """The worker's command line with its entry's ``main()`` replaced by
+    ``code``: the same interpreter, flags and imports."""
+    command = default_worker_command()
+    assert command[-2:] == ["-c", WORKER_ENTRY + "main()"]
+    return command[:-1] + [WORKER_ENTRY + code]
 
 
 def test_worker_import_closure():
     # The interpreter and flags a worker starts with, and the PYTHONPATH its
     # launcher gives it.
-    command = default_worker_command()
-    assert command[-2:] == ["-m", "egroup.worker"]
-    code = ("import egroup.worker, sys; "
+    code = ("import sys; "
             f"print(sorted(set({NOT_ON_WORKER_PATH!r}) & set(sys.modules)))")
-    proc = subprocess.run(command[:-2] + ["-c", code], capture_output=True,
+    proc = subprocess.run(probe_command(code), capture_output=True,
                           env={**os.environ, "PYTHONPATH": IMPORT_ROOT},
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -38,17 +46,17 @@ def test_worker_import_closure_with_code_image():
     # The same, in a child that the launcher starts with its code image: it
     # loads egroup.worker from the image's zip and, as a launcher, passes
     # that image on without building one.
-    command = default_worker_command()
-    code = ("import egroup.worker, sys; "
-            "from egroup.spawner import LocalProcessLauncher; "
-            "fds = LocalProcessLauncher()._image_fds(); "
-            f"print(sorted(set({NOT_ON_WORKER_PATH!r}) & set(sys.modules)), "
-            "egroup.worker.__file__, fds)")
+    command = probe_command(
+        "import egroup.worker, sys; "
+        "from egroup.spawner import LocalProcessLauncher; "
+        "fds = LocalProcessLauncher()._image_fds(); "
+        f"print(sorted(set({NOT_ON_WORKER_PATH!r}) & set(sys.modules)), "
+        "egroup.worker.__file__, fds)")
     launcher = LocalProcessLauncher(stdout=subprocess.PIPE,
                                     stderr=subprocess.PIPE)
     try:
-        proc = launcher.launch(SpawnSpec(
-            program=command[0], args=command[1:-2] + ["-c", code]), 0, {})
+        proc = launcher.launch(SpawnSpec(program=command[0],
+                                         args=command[1:]), 0, {})
         out, err = proc.communicate(timeout=60)
         fd = launcher._image[0]
     finally:

@@ -74,12 +74,20 @@ class TestSpawnSpec:
 
     @pytest.mark.parametrize("spec, body", [
         (SpawnSpec(program="p"),
-         b'{"args": [], "count": 1, "host_labels": null, "program": "p"}'),
+         b"\x07\x00\x00\x00\x04"  # a dict of four, keys sorted
+         b"\x00\x00\x00\x04args\x06\x00\x00\x00\x00"
+         b"\x00\x00\x00\x05count\x03\x00\x00\x00\x00\x00\x00\x00\x01"
+         b"\x00\x00\x00\x0bhost_labels\x00"
+         b"\x00\x00\x00\x07program\x05\x00\x00\x00\x01p"),
         (SpawnSpec(program="p", args=("--x",), count=2, host_labels=("a", "b")),
-         b'{"args": ["--x"], "count": 2, "host_labels": ["a", "b"], '
-         b'"program": "p"}'),
+         b"\x07\x00\x00\x00\x04"
+         b"\x00\x00\x00\x04args\x06\x00\x00\x00\x01\x05\x00\x00\x00\x03--x"
+         b"\x00\x00\x00\x05count\x03\x00\x00\x00\x00\x00\x00\x00\x02"
+         b"\x00\x00\x00\x0bhost_labels\x06\x00\x00\x00\x02"
+         b"\x05\x00\x00\x00\x01a\x05\x00\x00\x00\x01b"
+         b"\x00\x00\x00\x07program\x05\x00\x00\x00\x01p"),
     ], ids=["defaults", "every-field"])
-    def test_digest_is_sha256_of_the_spec_json(self, spec, body):
+    def test_digest_is_sha256_of_the_spec_payload(self, spec, body):
         # Members of different versions must agree on it in a spawn.
         assert spec.digest() == hashlib.sha256(body).digest()
 
@@ -181,7 +189,7 @@ def register(node, ticket, payload):
     node.endpoint.connect(ticket.parent_address).send(Envelope(
         epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REGISTER,
         src_rank=ticket.child_index, dst_rank=wire.NO_RANK,
-        payload=wire.json_payload(payload)))
+        payload=wire.encode_payload(payload)))
 
 
 class StopRecorder(ThreadLauncher):
@@ -330,7 +338,7 @@ class TestSpawnWithThreads:
             node = Node(host_label=ticket.host_label)
             if ticket.child_index == 0:
                 with node:
-                    register(node, ticket, node.descriptor().to_json())
+                    register(node, ticket, node.descriptor().to_fields())
                 return
             time.sleep(0.6)
             start = time.monotonic()
@@ -366,7 +374,7 @@ class TestSpawnWithThreads:
                     host_label=ticket.host_label,
                     listen_address=node.listen_address,
                     incarnation_id="impostor-1")
-                register(node, ticket, impostor.to_json())
+                register(node, ticket, impostor.to_fields())
                 done.wait(30)
 
         launcher = StopRecorder(child)

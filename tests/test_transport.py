@@ -136,6 +136,58 @@ def test_handshake_that_outlives_the_deadline_is_deadline_exceeded():
         a.close()
 
 
+def forged_peer(reply: dict):
+    """A listener that answers one hello with ``reply`` as its payload and
+    then holds the connection open; returns (address, close)."""
+    server = socket.create_server(("127.0.0.1", 0))
+    conns = []
+
+    def answer():
+        conn, _ = server.accept()
+        conns.append(conn)
+        wire.read_envelope(conn)
+        conn.sendall(wire.pack(Envelope(
+            epoch=0, tag=wire.TAG_CONTROL, src_rank=wire.NO_RANK,
+            dst_rank=wire.NO_RANK, payload=wire.encode_payload(reply))))
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+
+    def close():
+        thread.join(5)
+        for conn in conns:
+            conn.close()
+        server.close()
+
+    host, port = server.getsockname()
+    return f"{host}:{port}", close
+
+
+@pytest.mark.parametrize("reply", [
+    {"kind": "hello_ok", "incarnation_id": [1], "epoch": 0},
+    {"kind": "hello_ok", "incarnation_id": 5, "epoch": 0},
+    {"kind": "hello_ok", "epoch": 0},
+    {"kind": "hello_ok", "incarnation_id": "p", "epoch": "0"},
+    {"kind": "hello_ok", "incarnation_id": "p", "epoch": True},
+    {"kind": "hello_ok", "incarnation_id": "p"},
+    {"kind": "hello_reject", "reason": "duplicate", "incarnation_id": [1],
+     "epoch": 0},
+    {"kind": "hello_reject", "reason": "stale_epoch", "incarnation_id": "p",
+     "epoch": [3]},
+], ids=["list-id", "int-id", "no-id", "str-epoch", "bool-epoch", "no-epoch",
+        "duplicate-list-id", "stale-list-epoch"])
+def test_malformed_handshake_reply_is_connect_error(reply):
+    address, close = forged_peer(reply)
+    a = make_endpoint("a")
+    try:
+        with pytest.raises(ConnectError, match="malformed handshake reply"):
+            a.connect(address, timeout=5)
+        assert a.channels == {}
+    finally:
+        a.close()
+        close()
+
+
 def test_send_recv_happy_path():
     a, b = make_endpoint("a", 0), make_endpoint("b", 0)
     try:

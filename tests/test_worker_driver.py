@@ -1,6 +1,7 @@
 """Driver and worker processes talking over real sockets."""
 
 import os
+import socket
 import subprocess
 import sys
 import time
@@ -8,8 +9,14 @@ import time
 import pytest
 
 from egroup import transport, wire
-from egroup.driver import CommandFailure, Driver, host_label_for_slot
-from egroup.errors import ProtocolError, SpawnError
+from egroup.driver import (
+    CommandFailure,
+    Driver,
+    WorkerHandle,
+    host_label_for_slot,
+)
+from egroup.errors import DeadlineExceeded, ProtocolError, SpawnError
+from egroup.groups import MemberDescriptor
 from egroup.spawner import (
     ENV_CHILD_COUNT,
     ENV_CHILD_INDEX,
@@ -91,6 +98,22 @@ class TestFleet:
             with pytest.raises(ProtocolError, match="never sent"):
                 drv.barrier()
 
+    def test_command_dial_ends_at_the_command_deadline(self):
+        # A worker whose listener never answers the hello: the driver's dial
+        # to it is bound by the command's deadline.
+        silent = socket.create_server(("127.0.0.1", 0))
+        host, port = silent.getsockname()
+        handle = WorkerHandle(member=MemberDescriptor(
+            "node0", f"{host}:{port}", "silent.0"), rank=0, epoch=0)
+        try:
+            with Driver(timeout=30) as drv:
+                start = time.monotonic()
+                with pytest.raises(DeadlineExceeded):
+                    drv._command([handle], "ping", timeout=1.0)
+                assert time.monotonic() - start < 2.0
+        finally:
+            silent.close()
+
     def test_reply_on_a_strangers_channel_is_dropped(self):
         with Driver(timeout=30) as drv:
             drv.start_fleet(2)
@@ -100,7 +123,7 @@ class TestFleet:
             try:
                 stranger.connect(drv.node.listen_address).send(Envelope(
                     epoch=0, tag=wire.TAG_DRIVER_REPLY, src_rank=wire.NO_RANK,
-                    dst_rank=wire.NO_RANK, payload=wire.json_payload(forged)))
+                    dst_rank=wire.NO_RANK, payload=wire.encode_payload(forged)))
                 # Let the driver buffer it ahead of the workers' replies.
                 time.sleep(0.2)
                 pings = drv.ping()
