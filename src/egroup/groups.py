@@ -22,6 +22,16 @@ if TYPE_CHECKING:
 HOST_LABEL_WIDTH = 64
 
 
+def check_host_label(host_label: str) -> str:
+    """Return ``host_label`` if a member descriptor accepts it: non-empty and
+    at most HOST_LABEL_WIDTH bytes of UTF-8. Raises ValueError otherwise."""
+    if not host_label:
+        raise ValueError("host_label must be non-empty")
+    if len(host_label.encode()) > HOST_LABEL_WIDTH:
+        raise ValueError(f"host_label exceeds {HOST_LABEL_WIDTH} bytes: {host_label!r}")
+    return host_label
+
+
 def new_incarnation_id(host_label: str = "") -> str:
     """Mint a process-unique identity string; sorts arbitrarily but stably."""
     prefix = f"{host_label}.{os.getpid()}." if host_label else f"{os.getpid()}."
@@ -35,12 +45,7 @@ class MemberDescriptor(Value):
 
     def __init__(self, host_label: str, listen_address: str,
                  incarnation_id: str):
-        if not host_label:
-            raise ValueError("host_label must be non-empty")
-        if len(host_label.encode()) > HOST_LABEL_WIDTH:
-            raise ValueError(
-                f"host_label exceeds {HOST_LABEL_WIDTH} bytes: {host_label!r}"
-            )
+        check_host_label(host_label)
         if not incarnation_id:
             raise ValueError("incarnation_id must be non-empty")
         parse_address(listen_address)

@@ -71,7 +71,7 @@ class Node:
     def channel_to(self, member: MemberDescriptor, timeout=HANDSHAKE_TIMEOUT):
         """Reuse or open the live channel to ``member``; ``timeout`` bounds a dial."""
         channel = self.endpoint.channel_to(member.incarnation_id)
-        if channel is not None and not channel.closed:
+        if channel is not None:
             return channel
         return self.endpoint.connect(member.listen_address,
                                      expect_id=member.incarnation_id,

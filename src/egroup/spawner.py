@@ -27,7 +27,7 @@ from .errors import (
     ProtocolError,
     SpawnError,
 )
-from .groups import Group, InterGroup, MemberDescriptor, Side
+from .groups import Group, InterGroup, MemberDescriptor, Side, check_host_label
 from .node import Node
 from .transport import match_fields
 from .wire import Deadline, Envelope, error_outcome, ok_outcome, unwrap_outcome
@@ -118,22 +118,26 @@ class BootstrapTicket(wire.Value):
                 "this process was not created by spawn (no bootstrap "
                 f"ticket in the environment: {ENV_PARENT_ADDR} is not set)")
 
-        def field(name, convert=str):
+        def field(name, convert=int):
             if name not in environ:
                 raise ValueError(f"malformed bootstrap ticket: {name} is not set")
             try:
                 return convert(environ[name])
-            except ValueError:
-                raise ValueError(
-                    f"malformed bootstrap ticket: {name} must be an integer, "
-                    f"got {environ[name]!r}") from None
+            except ValueError as exc:
+                raise ValueError(f"malformed bootstrap ticket: {name} is "
+                                 f"{environ[name]!r} ({exc})") from None
+
+        def address(value):
+            wire.parse_address(value)
+            return value
 
         return cls(
-            parent_address=environ[ENV_PARENT_ADDR],
-            parent_epoch=field(ENV_PARENT_EPOCH, int),
-            child_index=field(ENV_CHILD_INDEX, int),
-            host_label=field(ENV_HOST_LABEL),
-            child_count=field(ENV_CHILD_COUNT, int),
+            parent_address=field(ENV_PARENT_ADDR, address),
+            parent_epoch=field(ENV_PARENT_EPOCH),
+            child_index=field(ENV_CHILD_INDEX),
+            # The rule a member descriptor applies, checked before any dial.
+            host_label=field(ENV_HOST_LABEL, check_host_label),
+            child_count=field(ENV_CHILD_COUNT),
         )
 
 

@@ -7,6 +7,18 @@ handshake of each accepted connection, then either buffers each envelope for
 notice back to the sender so the rejection is observable. Senders write from
 their own thread; the loop itself writes only small control frames.
 
+One condition per Endpoint guards all that the loop shares with callers:
+the channel table, the receive buffer, each channel's ``closed`` flag and
+notices, ``stale_rejected_count`` and the selector's registrations; only
+``select()`` runs outside it. A channel is in the table exactly while it is
+open: ``Channel.close`` sets the flag and removes the entry in one critical
+section, and ``_adopt`` refuses a channel that closed first. Lock order: the
+condition, then ``FencingState``'s lock; a channel's write lock only orders
+writes and is never held with the condition. ``recv``, ``await_channel`` and
+``wait_reject`` all wait on it. In the library at most one thread waits on an
+endpoint at a time (a worker's command loop, the driver's command, one member
+thread per Node), so sharing it adds no wake-ups to real traffic.
+
 The public operations are safe to call from one application control flow per
 process; channel handles may move between threads but must not be used from
 two threads at once.
@@ -93,7 +105,9 @@ class FencingState:
 
 class Channel:
     """One live connection to a peer, created by connect() or accepted by the
-    endpoint's I/O loop (whose peer is unknown until its hello arrives)."""
+    endpoint's I/O loop (whose peer is unknown until its hello arrives). The
+    endpoint's condition guards ``closed`` and the notices; ``_wlock`` only
+    orders writes."""
 
     def __init__(self, sock: socket.socket, peer_id: str | None,
                  initiator_id: str | None, endpoint: "Endpoint"):
@@ -104,17 +118,12 @@ class Channel:
         # Bytes read by the I/O loop that do not yet make a whole frame.
         self._rbuf = bytearray()
         self._wlock = threading.Lock()
-        self._closed = threading.Event()
-        self._notice_cond = threading.Condition()
+        self.closed = False
         self._notices = deque()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed.is_set()
 
     def send(self, envelope: Envelope) -> None:
         """Enqueue one envelope for in-order delivery to the peer."""
-        if self._closed.is_set():
+        if self.closed:
             raise DeliveryError(f"channel to {self.peer_id} is closed")
         data = wire.pack(envelope)
         try:
@@ -126,19 +135,20 @@ class Channel:
 
     def wait_reject(self, timeout: float | None = None) -> dict | None:
         """Pop the oldest rejection notice from the peer, waiting if needed."""
-        with self._notice_cond:
-            self._notice_cond.wait_for(lambda: self._notices or self.closed, timeout)
+        cond = self._endpoint._cond
+        with cond:
+            cond.wait_for(lambda: self._notices or self.closed, timeout)
             return self._notices.popleft() if self._notices else None
 
-    def _push_notice(self, notice: dict) -> None:
-        with self._notice_cond:
-            self._notices.append(notice)
-            self._notice_cond.notify_all()
-
     def close(self) -> None:
-        if self._closed.is_set():
-            return
-        self._closed.set()
+        endpoint = self._endpoint
+        with endpoint._cond:
+            if self.closed:
+                return
+            self.closed = True
+            if endpoint.channels.get(self.peer_id) is self:
+                del endpoint.channels[self.peer_id]
+            endpoint._cond.notify_all()
         # Shutdown fails any send in flight and shows the peer EOF at once;
         # the I/O loop closes the socket itself, so its descriptor cannot be
         # reused while the loop still watches it.
@@ -146,9 +156,6 @@ class Channel:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        with self._notice_cond:
-            self._notice_cond.notify_all()
-        self._endpoint._forget_channel(self)
 
     def __repr__(self):
         state = "closed" if self.closed else "open"
@@ -157,7 +164,8 @@ class Channel:
 
 class Endpoint:
     """Listening socket, channel table, the shared receive buffer, and the
-    I/O loop thread that serves them."""
+    I/O loop thread that serves them. ``_cond`` guards all but the loop's
+    ``select()``, which runs outside it."""
 
     def __init__(self, address: str, identity: str, fencing: FencingState):
         self.identity = identity
@@ -170,22 +178,17 @@ class Endpoint:
         self._listener.setblocking(False)
         self.listen_address = f"{host}:{self._listener.getsockname()[1]}"
 
-        self._lock = threading.RLock()
+        self._cond = threading.Condition()
         # All live channels keyed by peer incarnation id, whether this side
         # accepted or initiated them; at most one per peer.
         self.channels = {}
-        self._chan_cond = threading.Condition(self._lock)
-        self._buf_cond = threading.Condition()
         self._buffer = deque()
         self._closed = False
         self.stale_rejected_count = 0
 
-        # Only the loop touches the selector. Other threads queue channels
-        # for it to watch and write a byte to the wake-up socketpair.
         self._selector = selectors.DefaultSelector()
-        self._adding = deque()
+        # close() wakes the loop by closing the socketpair's write end.
         self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_w.setblocking(False)
         # Accepted connections still owing a hello, with their deadlines.
         self._handshakes = {}
         self._selector.register(self._listener, selectors.EVENT_READ, self._accept)
@@ -257,17 +260,17 @@ class Endpoint:
                 f"endpoint at {address} is {peer_id}, expected {expect_id}")
         sock.settimeout(None)
         channel = Channel(sock, peer_id, self.identity, self)
-        self._watch_soon(channel)
+        self._watch(channel)
         return self._adopt(channel)
 
     def channel_to(self, peer_id: str) -> Channel | None:
-        with self._lock:
+        with self._cond:
             return self.channels.get(peer_id)
 
     def await_channel(self, peer_id: str, timeout) -> Channel | None:
         """Wait up to ``timeout`` for a peer-initiated channel to ``peer_id``."""
-        with self._chan_cond:
-            self._chan_cond.wait_for(
+        with self._cond:
+            self._cond.wait_for(
                 lambda: self._closed or peer_id in self.channels,
                 Deadline.of(timeout).remaining())
             if self._closed:
@@ -275,50 +278,41 @@ class Endpoint:
             return self.channels.get(peer_id)
 
     def _adopt(self, channel: Channel) -> Channel:
-        """Insert a freshly handshaken channel, collapsing duplicates.
+        """Insert a freshly handshaken channel, collapsing duplicates; a
+        channel that has closed already is returned but not inserted.
 
         When two channels exist for one pair, the one initiated by the member
         with the lexicographically smaller incarnation id survives.
         """
-        with self._lock:
+        with self._cond:
             if self._closed:
                 channel.close()
                 raise ShutdownError("endpoint is closed")
+            if channel.closed:
+                return channel
             existing = self.channels.get(channel.peer_id)
-            if existing is not None and not existing.closed:
-                if existing.initiator_id == channel.initiator_id:
-                    winner, loser = channel, existing  # reconnect: newest wins
-                elif existing.initiator_id < channel.initiator_id:
-                    winner, loser = existing, channel
-                else:
-                    winner, loser = channel, existing
-            else:
-                winner, loser = channel, None
+            # The smaller initiator id wins; on a reconnect, the newest.
+            winner, loser = channel, existing
+            if existing is not None and existing.initiator_id < channel.initiator_id:
+                winner, loser = existing, channel
+            if loser is not None:
+                loser.close()
             self.channels[channel.peer_id] = winner
-            self._chan_cond.notify_all()
-        if loser is not None and loser is not winner:
-            loser.close()
-        return winner
-
-    def _forget_channel(self, channel: Channel) -> None:
-        with self._lock:
-            if self.channels.get(channel.peer_id) is channel:
-                del self.channels[channel.peer_id]
+            self._cond.notify_all()
+            return winner
 
     # -- the I/O loop ----------------------------------------------------------
 
-    def _watch_soon(self, channel: Channel) -> None:
-        """Queue a connected channel for the loop to read."""
-        with self._lock:
+    def _watch(self, channel: Channel) -> None:
+        """Register a connected channel's socket with the loop, or close the
+        socket if the endpoint is closed: once the loop has seen ``_closed``
+        it closes every registered socket, so none registers after that."""
+        with self._cond:
             if self._closed:
                 channel.sock.close()
                 raise ShutdownError("endpoint is closed")
-            # Once _closed is set the loop exits and closes what is queued.
-            self._adding.append(channel)
-            try:
-                self._wake_w.send(b"\0")
-            except BlockingIOError:
-                pass  # the loop has unread wake-ups already
+            self._selector.register(channel.sock, selectors.EVENT_READ,
+                                    functools.partial(self._read, channel))
 
     def _io_loop(self) -> None:
         try:
@@ -330,23 +324,21 @@ class Endpoint:
                 for key, _ in self._selector.select(timeout):
                     try:
                         key.data()
+                    except ShutdownError:
+                        pass  # close() has begun; the loop ends at the top
                     except Exception:
                         log.exception("I/O loop of %s", self.identity)
-                while self._adding:
-                    channel = self._adding.popleft()
-                    self._selector.register(channel.sock, selectors.EVENT_READ,
-                                            functools.partial(self._read, channel))
         finally:
-            for key in list(self._selector.get_map().values()):
-                key.fileobj.close()
-            for channel in self._adding:
-                channel.sock.close()
-            self._selector.close()
+            with self._cond:
+                for key in list(self._selector.get_map().values()):
+                    key.fileobj.close()
+                self._selector.close()
 
     def _drop(self, channel: Channel) -> None:
         channel.close()
         self._handshakes.pop(channel, None)
-        self._selector.unregister(channel.sock)
+        with self._cond:
+            self._selector.unregister(channel.sock)
         with channel._wlock:
             channel.sock.close()
 
@@ -358,9 +350,8 @@ class Endpoint:
         sock.setblocking(True)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         channel = Channel(sock, None, None, self)
+        self._watch(channel)
         self._handshakes[channel] = Deadline.of(HANDSHAKE_TIMEOUT)
-        self._selector.register(sock, selectors.EVENT_READ,
-                                functools.partial(self._read, channel))
 
     def _read(self, channel: Channel) -> None:
         try:
@@ -375,7 +366,7 @@ class Endpoint:
             self._drop(channel)
             return
         channel._rbuf += data
-        delivered = []
+        delivered, notices = [], []
         try:
             for envelope in wire.cut_frames(channel._rbuf):
                 if channel.closed:
@@ -385,7 +376,7 @@ class Endpoint:
                 elif envelope.tag == wire.TAG_CONTROL:
                     msg = wire.decode_payload(envelope.payload)
                     if msg.get("kind") == "reject_notice":
-                        channel._push_notice(msg)
+                        notices.append(msg)
                 elif self.fencing.is_stale(envelope.epoch):
                     self._reject_envelope(channel, envelope)
                 else:
@@ -393,10 +384,11 @@ class Endpoint:
         except ProtocolError as exc:
             log.warning("dropping malformed frame from %s: %s", channel.peer_id, exc)
             channel.close()
-        if delivered:
-            with self._buf_cond:
+        if delivered or notices:
+            with self._cond:
                 self._buffer.extend(delivered)
-                self._buf_cond.notify_all()
+                channel._notices.extend(notices)
+                self._cond.notify_all()
 
     def _answer_hello(self, channel: Channel, hello: Envelope) -> None:
         """Handle the first frame of an accepted connection: admit the dialer,
@@ -408,13 +400,12 @@ class Endpoint:
                 and type(peer_epoch) is int):
             raise ProtocolError(f"expected a hello, got {msg}")
         kind, fields = "hello_ok", {"epoch": self.fencing.current}
-        with self._lock:
+        with self._cond:
             existing = self.channels.get(peer_id)
             if peer_epoch >= 0 and self.fencing.is_stale(peer_epoch):
                 self.stale_rejected_count += 1
                 kind, fields["reason"] = "hello_reject", "stale_epoch"
-            elif (existing is not None and not existing.closed
-                    and existing.initiator_id < peer_id):
+            elif existing is not None and existing.initiator_id < peer_id:
                 kind, fields["reason"] = "hello_reject", "duplicate"
         try:
             channel.send(_control(kind, incarnation_id=self.identity, **fields))
@@ -424,14 +415,11 @@ class Endpoint:
             channel.close()
             return
         channel.peer_id = channel.initiator_id = peer_id
-        try:
-            self._adopt(channel)
-        except ShutdownError:
-            pass
+        self._adopt(channel)
 
     def _reject_envelope(self, channel: Channel, envelope: Envelope):
         """Fence off a stale envelope: never buffer it, tell the sender."""
-        with self._lock:
+        with self._cond:
             self.stale_rejected_count += 1
         try:
             channel.send(_control("reject_notice", envelope_epoch=envelope.epoch,
@@ -454,7 +442,7 @@ class Endpoint:
         many non-matching envelopes arrive; then DeadlineExceeded is raised."""
         pred = match if match is not None else (lambda e: True)
         deadline = Deadline.of(timeout)
-        with self._buf_cond:
+        with self._cond:
             while True:
                 if self._closed:
                     raise ShutdownError("endpoint closed while waiting for a message")
@@ -462,13 +450,13 @@ class Endpoint:
                     if pred(envelope):
                         del self._buffer[i]
                         return envelope, channel
-                if not self._buf_cond.wait(deadline.remaining()):
+                if not self._cond.wait(deadline.remaining()):
                     raise DeadlineExceeded("no matching envelope arrived in time")
 
     def purge_stale(self):
         """Drop (and reject) buffered envelopes made stale by an epoch advance."""
         dropped = []
-        with self._buf_cond:
+        with self._cond:
             keep = deque()
             for envelope, channel in self._buffer:
                 if self.fencing.is_stale(envelope.epoch):
@@ -486,22 +474,19 @@ class Endpoint:
         return self._closed
 
     def close(self):
-        with self._lock:
+        with self._cond:
             if self._closed:
                 return
             self._closed = True
-            channels = list(self.channels.values())
-            self._chan_cond.notify_all()
-        for channel in channels:
-            channel.close()
+            for channel in list(self.channels.values()):
+                channel.close()
+            self._cond.notify_all()
         # Closing the write end wakes the loop, which sees _closed, closes
         # every socket it holds (the listener too, so the port is free once
         # close returns) and exits.
         self._wake_w.close()
         if threading.current_thread() is not self._loop:
             self._loop.join(HANDSHAKE_TIMEOUT)
-        with self._buf_cond:
-            self._buf_cond.notify_all()
 
     def __repr__(self):
         return f"<Endpoint {self.identity} at {self.listen_address}>"

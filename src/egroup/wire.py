@@ -63,8 +63,10 @@ def parse_address(address: str) -> tuple:
     host, sep, port = address.rpartition(":")
     if not sep or not host:
         raise ValueError(f"address must look like host:port, got {address!r}")
+    if not (port.isascii() and port.isdigit()):
+        raise ValueError(f"port of {address!r} is not a decimal number")
     number = int(port)
-    if not 0 <= number <= 65535:
+    if number > 65535:
         raise ValueError(f"port of {address!r} is out of range 0-65535")
     return host, number
 

@@ -6,7 +6,7 @@ and none loads ``importlib`` when it is imported. Timeouts:
 no public call takes a ``*_timeout`` parameter, and no module raises a bare
 TimeoutError. Bytecode: no module writes any, or changes the caller's
 bytecode settings, and no module has code that ``-O`` would compile
-differently."""
+differently. Synchronisation: one condition per endpoint, and no events."""
 
 import ast
 import pathlib
@@ -389,3 +389,37 @@ def test_check_sees_optimize_dependent_code(tmp_path):
                       "    return debug or x\n")
     assert list(optimize_dependent(sample)) == [
         "sample.py:2 asserts", "sample.py:3 reads __debug__"]
+
+
+def waitable_constructions(path):
+    """Yield each construction of an ``Event`` or a ``Condition``, bare or
+    as a module attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in sorted(ast.walk(tree), key=lambda n: getattr(n, "lineno", 0)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("Event", "Condition"):
+                yield f"{path.name}:{node.lineno} constructs {name}"
+
+
+def test_one_condition_per_endpoint():
+    # The endpoint's one condition is where every transport waiter waits;
+    # a second condition or an event would be a second place to wake.
+    found = [use for path in sorted(SRC.glob("*.py"))
+             for use in waitable_constructions(path)]
+    assert [(use.split(":")[0], use.split()[-1]) for use in found] == [
+        ("transport.py", "Condition")], found
+
+
+def test_check_sees_events_and_conditions(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import threading\n"
+                      "from threading import Condition, Event\n"
+                      "cond = threading.Condition(threading.Lock())\n"
+                      "done = Event()\n"
+                      "ready = Condition()\n"
+                      "threading.Thread(target=threading.Event().wait)\n"
+                      "self.event()\n")
+    assert list(waitable_constructions(sample)) == [
+        "sample.py:3 constructs Condition", "sample.py:4 constructs Event",
+        "sample.py:5 constructs Condition", "sample.py:6 constructs Event"]

@@ -1,5 +1,6 @@
 """Transport behavior: connection lifecycle, ordering, buffering, fencing."""
 
+import os
 import socket
 import threading
 import time
@@ -70,7 +71,9 @@ def test_bind_conflict_is_setup_error():
 ], ids=["listen", "node"])
 @pytest.mark.parametrize("address", [
     "nohostport", "127.0.0.1:notaport", "127.0.0.1:70000",
-], ids=["no-port", "bad-port", "port-range"])
+    "127.0.0.1:8_0", "127.0.0.1: 80", "127.0.0.1:+80", "127.0.0.1:\u0668\u0660",
+], ids=["no-port", "bad-port", "port-range", "underscore-port", "space-port",
+        "plus-port", "non-ascii-digits"])
 def test_malformed_bind_address_is_setup_error(address, make):
     with pytest.raises(SetupError) as excinfo:
         make(address)
@@ -97,11 +100,16 @@ def test_connect_to_closed_port_is_connect_error():
     "nohostport",
     "127.0.0.1:65536",
     "\u00fc" * 64 + ":1",
+    "127.0.0.1:8_0",
+    "127.0.0.1: 80",
+    "127.0.0.1:+80",
+    "127.0.0.1:\u0668\u0660",
 ], ids=["empty-label", "long-label", "bad-port", "no-port", "port-range",
-        "bad-idna-name"])
+        "bad-idna-name", "underscore-port", "space-port", "plus-port",
+        "non-ascii-digits"])
 def test_malformed_address_is_connect_error(address):
-    # The last name is non-ASCII, so it is dialed as a str and fails in the
-    # IDNA codec (its label is too long) before any lookup.
+    # The bad-idna-name host is non-ASCII, so it is dialed as a str and fails
+    # in the IDNA codec (its label is too long) before any lookup.
     a = make_endpoint("a")
     try:
         with pytest.raises(ConnectError):
@@ -355,22 +363,87 @@ def test_handshake_from_stale_dialer_is_fencing_rejected():
         b.close()
 
 
-def test_recv_raises_shutdown_when_endpoint_closes():
-    a = make_endpoint("a", 0)
+@pytest.mark.parametrize("wait, outcome", [
+    (lambda endpoint, channel: endpoint.recv(timeout=10), ShutdownError),
+    (lambda endpoint, channel: endpoint.await_channel("c", 10), ShutdownError),
+    (lambda endpoint, channel: channel.wait_reject(10), None),
+], ids=["recv", "await_channel", "wait_reject"])
+def test_recv_raises_shutdown_when_endpoint_closes(wait, outcome):
+    # close() wakes a waiter of every kind at once, not at its timeout.
+    a, b = make_endpoint("a", 0), make_endpoint("b", 0)
+    channel = a.connect(b.listen_address)
     result = {}
 
     def waiter():
         try:
-            a.recv(timeout=10)
+            result["outcome"] = wait(a, channel)
         except ShutdownError:
-            result["shutdown"] = True
+            result["outcome"] = ShutdownError
+        result["ended"] = time.monotonic()
 
     t = threading.Thread(target=waiter)
     t.start()
-    time.sleep(0.2)
-    a.close()
-    t.join(5)
-    assert result.get("shutdown") is True
+    try:
+        time.sleep(0.2)
+        closed = time.monotonic()
+        a.close()
+        t.join(5)
+    finally:
+        a.close()
+        b.close()
+    assert not t.is_alive()
+    assert result["outcome"] is outcome
+    assert result["ended"] - closed < 1.0
+
+
+def socket_count():
+    """Open socket descriptors of this process."""
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}").startswith("socket:")
+        except OSError:
+            pass  # the listing's own descriptor, closed since
+    return count
+
+
+# A socket left for the garbage collector to close is a leak as well.
+@pytest.mark.filterwarnings("error::ResourceWarning",
+                            "error::pytest.PytestUnraisableExceptionWarning")
+def test_dials_racing_close_end_and_leave_no_socket():
+    # Eight threads dial eight peers while the dialing endpoint closes at
+    # staggered points: a dial that loses the race sees ShutdownError, and
+    # the sockets of all of them are closed once the endpoints are.
+    baseline = socket_count()
+    for trial in range(30):
+        a = make_endpoint("a")
+        peers = [make_endpoint(f"p{i}") for i in range(8)]
+        outcomes = [None] * len(peers)
+
+        def dial(i):
+            try:
+                outcomes[i] = a.connect(peers[i].listen_address, timeout=10)
+            except ShutdownError as exc:
+                outcomes[i] = exc
+
+        threads = [threading.Thread(target=dial, args=(i,))
+                   for i in range(len(peers))]
+        for t in threads:
+            t.start()
+        time.sleep(trial % 10 * 0.001)
+        a.close()
+        deadline = wire.Deadline.of(10)
+        for t in threads:
+            t.join(deadline.remaining())
+        for peer in peers:
+            peer.close()
+        assert not any(t.is_alive() for t in threads)
+        assert all(isinstance(o, (transport.Channel, ShutdownError))
+                   for o in outcomes), outcomes
+    deadline = wire.Deadline.of(5)
+    while socket_count() > baseline and not deadline.expired():
+        time.sleep(0.05)
+    assert socket_count() <= baseline
 
 
 def test_fencing_state_tracks_current_and_retired():

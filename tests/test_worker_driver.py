@@ -442,3 +442,24 @@ class TestWorkerExitCodes:
         proc = self.run_worker(env=env)
         assert proc.returncode == 2
         assert ENV_CHILD_COUNT in proc.stderr
+
+    @pytest.mark.parametrize("variable, value", [
+        (ENV_HOST_LABEL, ""),
+        (ENV_HOST_LABEL, "h" * 65),
+        (ENV_PARENT_ADDR, "nohostport"),
+    ], ids=["empty-label", "long-label", "address-without-port"])
+    def test_malformed_ticket_value_is_usage_error(self, variable, value):
+        # The parent listens, so a worker that let the value through would
+        # dial it and fail later, with status 1 and a traceback.
+        parent = transport.listen("127.0.0.1:0", "parent")
+        env = clean_env()
+        env.update({ENV_PARENT_ADDR: parent.listen_address,
+                    ENV_PARENT_EPOCH: "0", ENV_CHILD_INDEX: "0",
+                    ENV_HOST_LABEL: "node0", ENV_CHILD_COUNT: "1",
+                    variable: value})
+        try:
+            proc = self.run_worker(env=env)
+        finally:
+            parent.close()
+        assert proc.returncode == 2, proc.stderr
+        assert variable in proc.stderr
