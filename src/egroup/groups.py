@@ -100,7 +100,7 @@ class Group(Value):
 
     @property
     def retired(self) -> bool:
-        return self.node is not None and self.node.fencing.is_retired(self.epoch)
+        return self.node is not None and self.node.endpoint.is_retired(self.epoch)
 
     def _check_live(self):
         if self.retired:
@@ -115,10 +115,11 @@ class Group(Value):
         return len(self.roster)
 
     def retire(self) -> None:
-        """Mark this group retired; idempotent. All later operations fail."""
+        """Mark this group retired, which rejects its buffered envelopes;
+        idempotent. All later operations fail."""
         if self.node is None:
             raise ProtocolError("cannot retire a group that is not bound to a node")
-        self.node.fencing.retire(self.epoch)
+        self.node.endpoint.retire(self.epoch)
 
     def member(self, rank: int) -> MemberDescriptor:
         if not (0 <= rank < len(self.roster)):

@@ -1,8 +1,8 @@
 """Per-process runtime state: identity, endpoint, epochs, and group plumbing.
 
-A Node owns exactly one Endpoint and one FencingState for the lifetime of the
-process, no matter how many groups the process moves through. Channels to
-peers are opened on first use and reused across epochs.
+A Node owns exactly one Endpoint, which also holds the process's epoch fence,
+for the lifetime of the process, no matter how many groups the process moves
+through. Channels to peers are opened on first use and reused across epochs.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import threading
 
 from . import wire
 from .errors import DeliveryError, FencingError, RetiredGroupError
-from .groups import Group, MemberDescriptor, new_incarnation_id
-from .transport import HANDSHAKE_TIMEOUT, Endpoint, FencingState, match_fields
+from .groups import Group, MemberDescriptor, check_host_label, new_incarnation_id
+from .transport import HANDSHAKE_TIMEOUT, Endpoint, match_fields
 from .wire import Deadline, Envelope
 
 DEFAULT_BIND = "127.0.0.1:0"
@@ -26,10 +26,10 @@ class Node:
     def __init__(self, host_label: str | None = None, bind: str = DEFAULT_BIND):
         if host_label is None:
             host_label = os.environ.get("EG_HOST_LABEL") or socket.gethostname()
-        self.host_label = host_label
+        # The rule the node's descriptor applies, checked before binding.
+        self.host_label = check_host_label(host_label)
         self.incarnation_id = new_incarnation_id(host_label)
-        self.fencing = FencingState()
-        self.endpoint = Endpoint(bind, self.incarnation_id, self.fencing)
+        self.endpoint = Endpoint(bind, self.incarnation_id)
         self._tag_lock = threading.Lock()
         self._tag_counters = {}
         # Set by init_new_process: a parent link can be merged only once.
@@ -52,18 +52,18 @@ class Node:
     # -- groups ----------------------------------------------------------------
 
     def make_group(self, epoch: int, roster, my_rank: int) -> Group:
-        """A group bound to this node; advances the epoch fence past it and
-        drops the tag counters of the epochs below the fence, which
-        ``check_group_live`` refuses before they could draw a tag."""
+        """A group bound to this node; advances the epoch fence to it, which
+        rejects the buffered envelopes below it, and drops the tag counters
+        of the epochs below the fence, which ``check_group_live`` refuses
+        before they could draw a tag."""
         group = Group(epoch, tuple(roster), my_rank, node=self)
         if group.descriptor().incarnation_id != self.incarnation_id:
             raise ValueError("my_rank does not point at this node's descriptor")
-        self.fencing.advance_to(epoch)
-        fence = self.fencing.current
+        self.endpoint.advance_to(epoch)
+        fence = self.endpoint.fence
         with self._tag_lock:
             self._tag_counters = {e: n for e, n in self._tag_counters.items()
                                   if e >= fence}
-        self.endpoint.purge_stale()
         return group
 
     # -- messaging -------------------------------------------------------------
@@ -117,15 +117,14 @@ class Node:
                 return envelope
 
     def check_group_live(self, group: Group) -> None:
-        if self.fencing.is_retired(group.epoch):
+        if self.endpoint.is_retired(group.epoch):
             raise RetiredGroupError(
                 f"group at epoch {group.epoch} was retired on this process")
-        if self.fencing.is_stale(group.epoch):
+        fence = self.endpoint.fence
+        if group.epoch < fence:
             raise FencingError(
                 f"group epoch {group.epoch} is behind this process's current "
-                f"epoch {self.fencing.current}",
-                envelope_epoch=group.epoch,
-                receiver_epoch=self.fencing.current)
+                f"epoch {fence}", envelope_epoch=group.epoch, receiver_epoch=fence)
 
     def next_collective_tag(self, epoch: int) -> int:
         """Per-epoch tag sequence; every member draws the same values in the

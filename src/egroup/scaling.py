@@ -130,8 +130,6 @@ def scale_in(old_group: Group, is_removing: bool,
                              key=old_group.my_rank),
                     retiring_color=1, timeout=deadline)
     if is_removing:
-        node = old_group.node
         old_group.retire()
-        node.fencing.advance_to(outcome.epoch)
-        node.endpoint.purge_stale()
+        old_group.node.endpoint.advance_to(outcome.epoch)
     return ScaleInOutcome(new_group=outcome, can_terminate_host=can_terminate)

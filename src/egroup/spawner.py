@@ -118,7 +118,7 @@ class BootstrapTicket(wire.Value):
                 "this process was not created by spawn (no bootstrap "
                 f"ticket in the environment: {ENV_PARENT_ADDR} is not set)")
 
-        def field(name, convert=int):
+        def field(name, convert=wire.ascii_decimal):
             if name not in environ:
                 raise ValueError(f"malformed bootstrap ticket: {name} is not set")
             try:
@@ -390,7 +390,7 @@ def attach_parent(node: Node | None = None,
         node = Node(host_label=ticket.host_label)
     try:
         # Adopt the parent's epoch before dialing so fencing on both ends agrees.
-        node.fencing.advance_to(ticket.parent_epoch)
+        node.endpoint.advance_to(ticket.parent_epoch)
         channel = node.endpoint.connect(ticket.parent_address, timeout=deadline)
         channel.send(Envelope(
             epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REGISTER,

@@ -7,17 +7,20 @@ handshake of each accepted connection, then either buffers each envelope for
 notice back to the sender so the rejection is observable. Senders write from
 their own thread; the loop itself writes only small control frames.
 
-One condition per Endpoint guards all that the loop shares with callers:
-the channel table, the receive buffer, each channel's ``closed`` flag and
-notices, ``stale_rejected_count`` and the selector's registrations; only
-``select()`` runs outside it. A channel is in the table exactly while it is
-open: ``Channel.close`` sets the flag and removes the entry in one critical
-section, and ``_adopt`` refuses a channel that closed first. Lock order: the
-condition, then ``FencingState``'s lock; a channel's write lock only orders
-writes and is never held with the condition. ``recv``, ``await_channel`` and
-``wait_reject`` all wait on it. In the library at most one thread waits on an
-endpoint at a time (a worker's command loop, the driver's command, one member
-thread per Node), so sharing it adds no wake-ups to real traffic.
+One condition per Endpoint guards all that the loop shares with callers: the
+channel table, the receive buffer, the epoch fence, each channel's
+``closed`` flag and notices, ``stale_rejected_count`` and the selector's
+registrations; only ``select()`` runs outside it. A channel is in the table
+exactly while it is open: ``Channel.close`` sets the flag and removes the
+entry in one critical section, and ``_adopt`` refuses a channel that closed
+first. The fence and the retired epochs only grow, so a stale epoch never
+turns live: they are read without the condition and raised under it, with
+the purge of what they make stale, and a read is checked against them where
+it is buffered. A channel's write lock only orders writes and is never held
+with the condition. ``recv``, ``await_channel`` and ``wait_reject`` all wait
+on it. In the library at most one thread waits on an endpoint at a time (a
+worker's command loop, the driver's command, one member thread per Node), so
+sharing it adds no wake-ups to real traffic.
 
 The public operations are safe to call from one application control flow per
 process; channel handles may move between threads but must not be used from
@@ -66,41 +69,6 @@ def _dial_error(deadline: Deadline, what: str,
     if deadline.expired():
         return DeadlineExceeded(f"{what}: deadline passed ({cause})")
     return ConnectError(f"{what}: {cause}")
-
-
-class FencingState:
-    """Process-local epoch bookkeeping shared by the endpoint and the groups.
-
-    ``current`` is the highest epoch of any group this process has formed;
-    envelopes below it (or belonging to a retired epoch) are fenced off.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._current = -1
-        self._retired = set()
-
-    @property
-    def current(self) -> int:
-        with self._lock:
-            return self._current
-
-    def advance_to(self, epoch: int) -> None:
-        with self._lock:
-            if epoch > self._current:
-                self._current = epoch
-
-    def retire(self, epoch: int) -> None:
-        with self._lock:
-            self._retired.add(epoch)
-
-    def is_retired(self, epoch: int) -> bool:
-        with self._lock:
-            return epoch in self._retired
-
-    def is_stale(self, epoch: int) -> bool:
-        with self._lock:
-            return epoch < self._current or epoch in self._retired
 
 
 class Channel:
@@ -163,13 +131,12 @@ class Channel:
 
 
 class Endpoint:
-    """Listening socket, channel table, the shared receive buffer, and the
-    I/O loop thread that serves them. ``_cond`` guards all but the loop's
-    ``select()``, which runs outside it."""
+    """Listening socket, channel table, the shared receive buffer, the epoch
+    fence, and the I/O loop thread that serves them. ``_cond`` guards all but
+    the loop's ``select()``, which runs outside it."""
 
-    def __init__(self, address: str, identity: str, fencing: FencingState):
+    def __init__(self, address: str, identity: str):
         self.identity = identity
-        self.fencing = fencing
         try:
             host, port = parse_address(address)
             self._listener = socket.create_server((host, port), backlog=128)
@@ -183,6 +150,8 @@ class Endpoint:
         # accepted or initiated them; at most one per peer.
         self.channels = {}
         self._buffer = deque()
+        self._fence = -1
+        self._retired = set()
         self._closed = False
         self.stale_rejected_count = 0
 
@@ -211,7 +180,7 @@ class Endpoint:
         a failure once it has passed raises DeadlineExceeded, any other
         failure to reach the peer ConnectError.
         """
-        epoch = self.fencing.current
+        epoch = self._fence
         deadline = Deadline.of(timeout)
         if deadline.expired():
             raise DeadlineExceeded(f"deadline passed before dialing {address}")
@@ -377,8 +346,6 @@ class Endpoint:
                     msg = wire.decode_payload(envelope.payload)
                     if msg.get("kind") == "reject_notice":
                         notices.append(msg)
-                elif self.fencing.is_stale(envelope.epoch):
-                    self._reject_envelope(channel, envelope)
                 else:
                     delivered.append((envelope, channel))
         except ProtocolError as exc:
@@ -386,9 +353,10 @@ class Endpoint:
             channel.close()
         if delivered or notices:
             with self._cond:
-                self._buffer.extend(delivered)
+                stale = self._buffer_live(delivered)
                 channel._notices.extend(notices)
                 self._cond.notify_all()
+            self._reject(stale)
 
     def _answer_hello(self, channel: Channel, hello: Envelope) -> None:
         """Handle the first frame of an accepted connection: admit the dialer,
@@ -399,10 +367,10 @@ class Endpoint:
         if not (msg.get("kind") == "hello" and type(peer_id) is str
                 and type(peer_epoch) is int):
             raise ProtocolError(f"expected a hello, got {msg}")
-        kind, fields = "hello_ok", {"epoch": self.fencing.current}
+        kind, fields = "hello_ok", {"epoch": self._fence}
         with self._cond:
             existing = self.channels.get(peer_id)
-            if peer_epoch >= 0 and self.fencing.is_stale(peer_epoch):
+            if peer_epoch >= 0 and self.is_stale(peer_epoch):
                 self.stale_rejected_count += 1
                 kind, fields["reason"] = "hello_reject", "stale_epoch"
             elif existing is not None and existing.initiator_id < peer_id:
@@ -416,16 +384,6 @@ class Endpoint:
             return
         channel.peer_id = channel.initiator_id = peer_id
         self._adopt(channel)
-
-    def _reject_envelope(self, channel: Channel, envelope: Envelope):
-        """Fence off a stale envelope: never buffer it, tell the sender."""
-        with self._cond:
-            self.stale_rejected_count += 1
-        try:
-            channel.send(_control("reject_notice", envelope_epoch=envelope.epoch,
-                                  receiver_epoch=self.fencing.current, tag=envelope.tag))
-        except DeliveryError:
-            pass
 
     # -- receive side ----------------------------------------------------------
 
@@ -453,19 +411,54 @@ class Endpoint:
                 if not self._cond.wait(deadline.remaining()):
                     raise DeadlineExceeded("no matching envelope arrived in time")
 
-    def purge_stale(self):
-        """Drop (and reject) buffered envelopes made stale by an epoch advance."""
-        dropped = []
+    # -- the epoch fence -------------------------------------------------------
+
+    @property
+    def fence(self) -> int:
+        """The highest epoch of any group this process has formed, -1 before
+        the first; envelopes below it or of a retired epoch are stale."""
+        return self._fence
+
+    def is_retired(self, epoch: int) -> bool:
+        return epoch in self._retired
+
+    def is_stale(self, epoch: int) -> bool:
+        return epoch < self._fence or epoch in self._retired
+
+    def advance_to(self, epoch: int) -> None:
+        """Raise the fence to ``epoch`` (it never falls); rejects the buffered
+        envelopes that are now below it."""
         with self._cond:
-            keep = deque()
-            for envelope, channel in self._buffer:
-                if self.fencing.is_stale(envelope.epoch):
-                    dropped.append((envelope, channel))
-                else:
-                    keep.append((envelope, channel))
-            self._buffer = keep
-        for envelope, channel in dropped:
-            self._reject_envelope(channel, envelope)
+            self._fence = max(self._fence, epoch)
+            buffered, self._buffer = self._buffer, deque()
+            stale = self._buffer_live(buffered)
+        self._reject(stale)
+
+    def retire(self, epoch: int) -> None:
+        """Fence ``epoch`` off for good; rejects its buffered envelopes."""
+        with self._cond:
+            self._retired.add(epoch)
+            buffered, self._buffer = self._buffer, deque()
+            stale = self._buffer_live(buffered)
+        self._reject(stale)
+
+    def _buffer_live(self, items) -> list:
+        """Under ``_cond``, in one pass: buffer the live ones of ``items`` and
+        count and return the stale ones, to reject once it is released."""
+        stale = []
+        for item in items:
+            (stale if self.is_stale(item[0].epoch) else self._buffer).append(item)
+        self.stale_rejected_count += len(stale)
+        return stale
+
+    def _reject(self, stale) -> None:
+        """Tell the sender of each fenced-off envelope that it was dropped."""
+        for envelope, channel in stale:
+            try:
+                channel.send(_control("reject_notice", envelope_epoch=envelope.epoch,
+                                      receiver_epoch=self._fence, tag=envelope.tag))
+            except DeliveryError:
+                pass
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -492,10 +485,10 @@ class Endpoint:
         return f"<Endpoint {self.identity} at {self.listen_address}>"
 
 
-def listen(address: str, identity: str, fencing: FencingState | None = None) -> Endpoint:
+def listen(address: str, identity: str) -> Endpoint:
     """Bind a listening endpoint; the resolved address (with the actual port)
     is available as ``endpoint.listen_address``."""
-    return Endpoint(address, identity, fencing if fencing is not None else FencingState())
+    return Endpoint(address, identity)
 
 
 def match_fields(epoch: int | None = None, tag: int | None = None,

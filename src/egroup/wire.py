@@ -55,6 +55,15 @@ NO_RANK = -1
 OUTCOME_SLACK = 0.5
 
 
+def ascii_decimal(text: str, what: str = "value") -> int:
+    """``text`` as an int if it is ASCII decimal digits and nothing else:
+    ``int()`` would also take a sign, spaces, underscores and the digits of
+    other scripts. Anything else raises ValueError naming ``what``."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{what} is not a decimal number")
+    return int(text)
+
+
 def parse_address(address: str) -> tuple:
     """Split ``host:port`` into a host string and an integer port from 0 to
     65535; anything else raises ValueError."""
@@ -63,9 +72,7 @@ def parse_address(address: str) -> tuple:
     host, sep, port = address.rpartition(":")
     if not sep or not host:
         raise ValueError(f"address must look like host:port, got {address!r}")
-    if not (port.isascii() and port.isdigit()):
-        raise ValueError(f"port of {address!r} is not a decimal number")
-    number = int(port)
+    number = ascii_decimal(port, f"port of {address!r}")
     if number > 65535:
         raise ValueError(f"port of {address!r} is out of range 0-65535")
     return host, number

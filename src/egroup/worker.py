@@ -168,7 +168,7 @@ def _serve(group) -> None:
             body = {"ok": False, **error_fields(exc)}
         body["seq"] = cmd.get("seq")
         channel.send(Envelope(
-            epoch=max(node.fencing.current, 0), tag=wire.TAG_DRIVER_REPLY,
+            epoch=max(node.endpoint.fence, 0), tag=wire.TAG_DRIVER_REPLY,
             src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
             payload=wire.encode_payload(body)))
         if body.get("retired"):

@@ -226,7 +226,7 @@ def test_criterion_4_fencing():
             for p in range(1000):
                 src = rng.choice(remaining)
                 dst = rng.choice(sorted(removed))
-                stale_limit = groups[dst].node.fencing.current
+                stale_limit = groups[dst].node.endpoint.fence
                 epoch = rng.randrange(stale_limit)
                 tag = probe_base + p
                 payload = bytes(rng.randrange(256)
@@ -256,7 +256,7 @@ def test_criterion_4_fencing():
             for i in removed:
                 node = groups[i].node
                 for env, _ in node.endpoint._buffer:
-                    assert env.epoch >= node.fencing.current
+                    assert env.epoch >= node.endpoint.fence
                     assert not (probe_base <= env.tag < probe_base + 1000), \
                         "a probe payload was delivered"
         return (f"{api_errors} dead-handle sends errored, "

@@ -13,8 +13,9 @@ from egroup import (
     Side,
     roster_digest,
 )
-from egroup.errors import ProtocolError
+from egroup.errors import DeadlineExceeded, ProtocolError
 from egroup.groups import HOST_LABEL_WIDTH, new_incarnation_id
+from egroup.wire import Envelope
 
 
 def member(i, host="hostA"):
@@ -146,6 +147,24 @@ class TestRetirement:
             assert g.retired
         finally:
             node.close()
+
+    def test_retire_rejects_buffered_envelopes_of_its_epoch(self):
+        # An envelope of the retired epoch that is already buffered is
+        # rejected at once, with a notice to its sender.
+        with Node(host_label="h") as node, Node(host_label="h") as peer:
+            g = node.make_group(1, (node.descriptor(),), 0)
+            channel = peer.endpoint.connect(node.listen_address)
+            for payload in (b"old", b"probe"):
+                channel.send(Envelope(epoch=1, tag=20, src_rank=0, dst_rank=0,
+                                      payload=payload))
+            # A channel delivers in order: once the probe is here, so is "old".
+            node.endpoint.recv(lambda e: e.payload == b"probe", 5)
+            g.retire()
+            notice = channel.wait_reject(5)
+            assert notice is not None and notice["envelope_epoch"] == 1
+            assert node.endpoint.stale_rejected_count == 1
+            with pytest.raises(DeadlineExceeded):
+                node.endpoint.recv(None, 0.2)
 
     def test_unbound_group_cannot_retire(self):
         g = Group(epoch=0, roster=roster_of(1), my_rank=0)

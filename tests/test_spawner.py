@@ -116,15 +116,20 @@ class TestBootstrapTicket:
         with pytest.raises(NotSpawnedError):
             BootstrapTicket.from_env({})
 
-    def test_malformed_env_rejected(self):
-        env = {ENV_PARENT_ADDR: "a:1", ENV_PARENT_EPOCH: "zero",
-               ENV_CHILD_INDEX: "0", ENV_HOST_LABEL: "h",
-               ENV_CHILD_COUNT: "1"}
-        with pytest.raises(ValueError):
-            BootstrapTicket.from_env(env)
+    # Only ASCII decimal digits make a number; int() would take all but "zero".
+    @pytest.mark.parametrize("value", [
+        "zero", " 3", "3_0", "+1", "\u0663", "2\n",
+    ], ids=["word", "space", "underscore", "plus", "arabic-indic", "newline"])
+    @pytest.mark.parametrize("variable", [
+        ENV_PARENT_EPOCH, ENV_CHILD_INDEX, ENV_CHILD_COUNT])
+    def test_malformed_env_rejected(self, variable, value):
         env = {ENV_PARENT_ADDR: "a:1", ENV_PARENT_EPOCH: "0",
-               ENV_CHILD_INDEX: "0", ENV_HOST_LABEL: "h"}
-        with pytest.raises(ValueError):
+               ENV_CHILD_INDEX: "0", ENV_HOST_LABEL: "h",
+               ENV_CHILD_COUNT: "10", variable: value}
+        with pytest.raises(ValueError, match=variable):
+            BootstrapTicket.from_env(env)
+        del env[variable]
+        with pytest.raises(ValueError, match=variable):
             BootstrapTicket.from_env(env)
 
     def test_index_must_be_in_range(self):

@@ -17,7 +17,6 @@ from egroup.errors import (
 )
 from egroup.transport import (
     Endpoint,
-    FencingState,
     listen,
     match_fields,
     parse_address,
@@ -26,10 +25,10 @@ from egroup.wire import Envelope
 
 
 def make_endpoint(name, epoch=-1):
-    fencing = FencingState()
+    endpoint = listen("127.0.0.1:0", identity=name)
     if epoch >= 0:
-        fencing.advance_to(epoch)
-    return listen("127.0.0.1:0", identity=name, fencing=fencing)
+        endpoint.advance_to(epoch)
+    return endpoint
 
 
 def env(epoch=0, tag=20, src=0, dst=1, payload=b""):
@@ -60,7 +59,7 @@ def test_bind_conflict_is_setup_error():
     a = make_endpoint("a")
     try:
         with pytest.raises(SetupError):
-            Endpoint(a.listen_address, "b", FencingState())
+            Endpoint(a.listen_address, "b")
     finally:
         a.close()
 
@@ -78,6 +77,21 @@ def test_malformed_bind_address_is_setup_error(address, make):
     with pytest.raises(SetupError) as excinfo:
         make(address)
     assert isinstance(excinfo.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Node(host_label=""),
+    lambda: Node(host_label="h" * 65),
+    lambda: Node(),  # EG_HOST_LABEL, set below
+], ids=["empty", "too-long", "too-long-from-environment"])
+def test_node_checks_its_host_label_before_binding(make, monkeypatch):
+    # A label the node's own descriptor would refuse fails at once, before a
+    # socket is bound or an I/O thread started.
+    monkeypatch.setenv("EG_HOST_LABEL", "h" * 65)
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError, match="host_label"):
+        make()
+    assert not [t.name for t in set(threading.enumerate()) - before]
 
 
 def test_connect_to_closed_port_is_connect_error():
@@ -308,7 +322,7 @@ def test_stale_epoch_rejected_with_notice_to_sender():
     a, b = make_endpoint("a", 0), make_endpoint("b", 0)
     try:
         ch = a.connect(b.listen_address)
-        b.fencing.advance_to(2)
+        b.advance_to(2)
         ch.send(env(epoch=0, payload=b"stale"))
         notice = ch.wait_reject(timeout=5)
         assert notice is not None
@@ -334,19 +348,45 @@ def test_future_epoch_is_buffered_until_advance():
         b.close()
 
 
-def test_purge_stale_rejects_buffered_envelopes():
+def test_advance_to_rejects_buffered_envelopes():
     a, b = make_endpoint("a", 0), make_endpoint("b", 0)
     try:
         ch = a.connect(b.listen_address)
         ch.send(env(epoch=0, payload=b"old-traffic"))
-        # Wait until buffered, then advance the receiver's epoch.
-        time.sleep(0.2)
-        b.fencing.advance_to(3)
-        b.purge_stale()
+        ch.send(env(epoch=0, payload=b"probe"))
+        # A channel delivers in order: once the probe is here, so is the rest.
+        b.recv(lambda e: e.payload == b"probe", timeout=5)
+        b.advance_to(3)
         notice = ch.wait_reject(timeout=5)
         assert notice is not None and notice["envelope_epoch"] == 0
+        assert b.stale_rejected_count == 1
         with pytest.raises(TimeoutError):
             b.recv(timeout=0.2)
+    finally:
+        a.close()
+        b.close()
+
+
+def test_fence_raised_between_cut_and_buffer_still_rejects(monkeypatch):
+    # The fence rises after the loop has cut a frame and before it buffers
+    # the read: the envelope is checked where it is buffered, so it is
+    # rejected with a notice instead of delivered.
+    a, b = make_endpoint("a", 1), make_endpoint("b", 1)
+    try:
+        ch = a.connect(b.listen_address)
+        cut_frames = wire.cut_frames
+
+        def cut_then_raise_fence(buf):
+            yield from cut_frames(buf)
+            b.advance_to(2)
+
+        monkeypatch.setattr(wire, "cut_frames", cut_then_raise_fence)
+        ch.send(env(epoch=1, payload=b"in-flight"))
+        with pytest.raises(DeadlineExceeded):
+            b.recv(None, 1.0)
+        notice = ch.wait_reject(timeout=5)
+        assert notice is not None and notice["receiver_epoch"] == 2
+        assert b.stale_rejected_count == 1
     finally:
         a.close()
         b.close()
@@ -447,17 +487,22 @@ def test_dials_racing_close_end_and_leave_no_socket():
 
 
 def test_fencing_state_tracks_current_and_retired():
-    f = FencingState()
-    assert f.current == -1
-    assert not f.is_stale(0)
-    f.advance_to(3)
-    assert f.current == 3
-    assert f.is_stale(2) and not f.is_stale(3) and not f.is_stale(4)
-    f.advance_to(1)  # never moves backwards
-    assert f.current == 3
-    f.retire(5)
-    assert f.is_retired(5) and f.is_stale(5)
-    assert not f.is_stale(6)
+    f = make_endpoint("f")
+    try:
+        assert f.fence == -1
+        assert not f.is_stale(0)
+        f.advance_to(3)
+        assert f.fence == 3
+        assert f.is_stale(2) and not f.is_stale(3) and not f.is_stale(4)
+        f.advance_to(1)  # never moves backwards
+        assert f.fence == 3
+        f.retire(5)
+        assert f.is_retired(5) and f.is_stale(5)
+        assert not f.is_stale(6)
+        with pytest.raises(AttributeError):
+            f.fence = 0  # read-only: only advance_to moves it
+    finally:
+        f.close()
 
 
 def test_recv_timeout_is_a_deadline_under_unrelated_traffic():

@@ -447,7 +447,9 @@ class TestWorkerExitCodes:
         (ENV_HOST_LABEL, ""),
         (ENV_HOST_LABEL, "h" * 65),
         (ENV_PARENT_ADDR, "nohostport"),
-    ], ids=["empty-label", "long-label", "address-without-port"])
+        (ENV_PARENT_EPOCH, "3_0"),
+    ], ids=["empty-label", "long-label", "address-without-port",
+            "underscore-epoch"])
     def test_malformed_ticket_value_is_usage_error(self, variable, value):
         # The parent listens, so a worker that let the value through would
         # dial it and fail later, with status 1 and a traceback.
