@@ -105,16 +105,8 @@ class Node:
         on that member's channel."""
         self.check_group_live(group)
         match = match_fields(epoch=group.epoch, tag=tag, src_rank=src_rank)
-        return self.recv_from(group.member(src_rank).incarnation_id, match, timeout)
-
-    def recv_from(self, peer_id: str, match, timeout=None) -> Envelope:
-        """Receive the next envelope satisfying ``match`` that came on
-        ``peer_id``'s channel; one that came on another channel is dropped."""
-        deadline = Deadline.of(timeout)
-        while True:
-            envelope, channel = self.endpoint.recv_with_channel(match, deadline)
-            if channel.peer_id == peer_id:
-                return envelope
+        return self.endpoint.recv_with_channel(
+            match, timeout, group.member(src_rank).incarnation_id)[0]
 
     def check_group_live(self, group: Group) -> None:
         if self.endpoint.is_retired(group.epoch):

@@ -63,7 +63,7 @@ def scale_out(old_group: Group, num_add: int, child_program: str,
 
     One deadline bounds the barrier, the spawn and the merge. On any error
     the old group is left usable. When ``phases`` is given it receives the
-    local total_s and spawn_s wall-clock durations.
+    spawn's wall-clock duration as spawn_s.
     """
     if num_add < 1:
         raise ValueError(f"num_add must be positive, got {num_add}")
@@ -74,12 +74,9 @@ def scale_out(old_group: Group, num_add: int, child_program: str,
     barrier(old_group, timeout=deadline)
     start = time.perf_counter()
     inter = spawn(old_group, spec, launcher=launcher, timeout=deadline)
-    spawn_s = time.perf_counter() - start
-    new_group = merge(inter, high=False, timeout=deadline)
     if phases is not None:
-        phases["total_s"] = time.perf_counter() - start
-        phases["spawn_s"] = spawn_s
-    return new_group
+        phases["spawn_s"] = time.perf_counter() - start
+    return merge(inter, high=False, timeout=deadline)
 
 
 def init_new_process(node: Node | None = None,

@@ -22,6 +22,7 @@ from . import codeimage, wire
 from .collectives import DEFAULT_TIMEOUT, gather_decide
 from .errors import (
     DeadlineExceeded,
+    DeferredLogger,
     DeliveryError,
     NotSpawnedError,
     ProtocolError,
@@ -37,7 +38,10 @@ ENV_PARENT_EPOCH = "EG_PARENT_EPOCH"
 ENV_CHILD_INDEX = "EG_CHILD_INDEX"
 ENV_HOST_LABEL = "EG_HOST_LABEL"
 ENV_CHILD_COUNT = "EG_CHILD_COUNT"
+ENV_SPAWN_ID = "EG_SPAWN_ID"
 ENV_PREFIX = "EG_"
+
+log = DeferredLogger(__name__)
 
 # Where this egroup package was imported from: the directory holding it, or
 # the code image this process was started with (FD_DIR/N). It is on every
@@ -84,14 +88,14 @@ class SpawnSpec(wire.Value):
 
 
 class BootstrapTicket(wire.Value):
-    """How a child finds its parent, carried in the environment. The parent
-    is a spawning root, or the driver for the workers it starts."""
+    """The environment a child finds its parent by: a spawning root or the
+    driver for the workers it starts, and the id of its launching call."""
 
     __slots__ = ("parent_address", "parent_epoch", "child_index",
-                 "host_label", "child_count")
+                 "host_label", "child_count", "spawn_id")
 
     def __init__(self, parent_address: str, parent_epoch: int,
-                 child_index: int, host_label: str, child_count: int):
+                 child_index: int, host_label: str, child_count: int, spawn_id: str):
         if not (0 <= child_index < child_count):
             raise ValueError(
                 f"child_index {child_index} out of range for "
@@ -99,7 +103,7 @@ class BootstrapTicket(wire.Value):
         if parent_epoch < 0:
             raise ValueError("parent_epoch must be non-negative")
         self._init_fields(parent_address, parent_epoch, child_index,
-                          host_label, child_count)
+                          host_label, child_count, spawn_id)
 
     def to_env(self) -> dict:
         return {
@@ -108,6 +112,7 @@ class BootstrapTicket(wire.Value):
             ENV_CHILD_INDEX: str(self.child_index),
             ENV_HOST_LABEL: self.host_label,
             ENV_CHILD_COUNT: str(self.child_count),
+            ENV_SPAWN_ID: self.spawn_id,
         }
 
     @classmethod
@@ -119,8 +124,8 @@ class BootstrapTicket(wire.Value):
                 f"ticket in the environment: {ENV_PARENT_ADDR} is not set)")
 
         def field(name, convert=wire.ascii_decimal):
-            if name not in environ:
-                raise ValueError(f"malformed bootstrap ticket: {name} is not set")
+            if not environ.get(name):
+                raise ValueError(f"malformed bootstrap ticket: {name} is unset or empty")
             try:
                 return convert(environ[name])
             except ValueError as exc:
@@ -138,6 +143,7 @@ class BootstrapTicket(wire.Value):
             # The rule a member descriptor applies, checked before any dial.
             host_label=field(ENV_HOST_LABEL, check_host_label),
             child_count=field(ENV_CHILD_COUNT),
+            spawn_id=field(ENV_SPAWN_ID, str),
         )
 
 
@@ -299,7 +305,8 @@ def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,
     siblings, or the error. Returns the children in child_index order.
 
     A registration carries its child_index in ``src_rank`` and the
-    descriptor of the process on its channel. Every launcher handle is
+    descriptor of the process on its channel, with its ticket's spawn id;
+    one with another call's id is dropped. Every launcher handle is
     appended to ``handles`` as it starts. On any failure every child this
     call launched is stopped and the error propagates: a SpawnError naming
     the missing child_index values once ``timeout`` (seconds or a Deadline)
@@ -307,7 +314,7 @@ def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,
     be answered; a ProtocolError on a bad or repeated registration. A
     registration sent before an exit has one more EXIT_POLL to arrive.
     """
-    deadline = Deadline.of(timeout)
+    deadline, spawn_id = Deadline.of(timeout), os.urandom(8).hex()
     registered, channels, exited = {}, {}, {}
     first, error = len(handles), None
     try:
@@ -315,7 +322,7 @@ def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,
             ticket = BootstrapTicket(
                 parent_address=node.listen_address, parent_epoch=epoch,
                 child_index=index, child_count=spec.count,
-                host_label=spec.label_for(index, node.host_label))
+                host_label=spec.label_for(index, node.host_label), spawn_id=spawn_id)
             handles.append(launcher.launch(spec, index, ticket.to_env()))
 
         match = match_fields(epoch=epoch, tag=wire.TAG_SPAWN_REGISTER)
@@ -339,12 +346,16 @@ def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,
                     if status is not None:
                         exited[index] = status
                 continue
-            index = env.src_rank
+            fields, index = wire.decode_payload(env.payload), env.src_rank
+            member = MemberDescriptor.from_fields(fields)
+            if not fields.get("spawn_id"):
+                raise ProtocolError(f"registration without a spawn id: {fields}")
+            if fields["spawn_id"] != spawn_id:
+                log.warning("dropped child_index %s of another spawn call", index)
+                continue
             if not 0 <= index < spec.count or index in registered:
                 raise ProtocolError(
                     f"registration with bad or repeated child_index {index}")
-            member = MemberDescriptor.from_fields(
-                wire.decode_payload(env.payload))
             if member.incarnation_id != channel.peer_id:
                 raise ProtocolError(
                     f"child_index {index} registered {member.incarnation_id} "
@@ -395,9 +406,11 @@ def attach_parent(node: Node | None = None,
         channel.send(Envelope(
             epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REGISTER,
             src_rank=ticket.child_index, dst_rank=wire.NO_RANK,
-            payload=wire.encode_payload(node.descriptor().to_fields())))
+            payload=wire.encode_payload({**node.descriptor().to_fields(),
+                                         "spawn_id": ticket.spawn_id})))
         match = match_fields(epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REPLY)
-        reply = node.recv_from(channel.peer_id, match, deadline.for_outcome())
+        reply, _ = node.endpoint.recv_with_channel(
+            match, deadline.for_outcome(), channel.peer_id)
         outcome = wire.decode_payload(unwrap_outcome(reply.payload))
         siblings, parents = (
             tuple(MemberDescriptor.from_fields(m) for m in outcome[roster])

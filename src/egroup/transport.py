@@ -4,8 +4,9 @@ Each process owns one Endpoint: a listening socket plus one live channel per
 peer. One I/O loop thread per Endpoint reads every socket: it answers the
 handshake of each accepted connection, then either buffers each envelope for
 ``recv`` or, when it belongs to a superseded epoch, rejects it and sends a
-notice back to the sender so the rejection is observable. Senders write from
-their own thread; the loop itself writes only small control frames.
+notice back to the sender so the rejection is observable. A receive may name
+its sender; envelopes from other channels stay buffered until fenced. Senders
+write from their own thread; the loop itself writes only small control frames.
 
 One condition per Endpoint guards all that the loop shares with callers: the
 channel table, the receive buffer, the epoch fence, each channel's
@@ -394,10 +395,12 @@ class Endpoint:
         buffered."""
         return self.recv_with_channel(match, timeout)[0]
 
-    def recv_with_channel(self, match=None, timeout=None):
+    def recv_with_channel(self, match=None, timeout=None, peer_id=None):
         """Like recv() but also returns the channel the envelope arrived on.
-        ``timeout`` (seconds or a Deadline) bounds the whole call, however
-        many non-matching envelopes arrive; then DeadlineExceeded is raised."""
+        With ``peer_id``, ``match`` sees only envelopes from that peer's
+        channel, and the rest stay buffered. ``timeout`` (seconds or a
+        Deadline) bounds the whole call, however many non-matching envelopes
+        arrive; then DeadlineExceeded is raised."""
         pred = match if match is not None else (lambda e: True)
         deadline = Deadline.of(timeout)
         with self._cond:
@@ -405,7 +408,7 @@ class Endpoint:
                 if self._closed:
                     raise ShutdownError("endpoint closed while waiting for a message")
                 for i, (envelope, channel) in enumerate(self._buffer):
-                    if pred(envelope):
+                    if (peer_id is None or channel.peer_id == peer_id) and pred(envelope):
                         del self._buffer[i]
                         return envelope, channel
                 if not self._cond.wait(deadline.remaining()):

@@ -42,10 +42,6 @@ ID_BLOCK_WIDTH = 128
 # Longest a retired worker lingers for straggling senders.
 DRAIN_TIMEOUT = 5.0
 
-# Fields a command must carry, by op; a command lacking one gets an error reply.
-REQUIRED_FIELDS = {"scale_out": ("num_add", "child_program"),
-                   "scale_in": ("is_removing",)}
-
 
 def _drain_rejections(node):
     """Stay reachable briefly after retirement so straggling senders get
@@ -66,28 +62,27 @@ def _strings(value) -> bool:
 
 def _checked_timeout(op: str, cmd: dict):
     """Check that ``cmd`` carries every field its op reads, each of the type
-    the op's call needs, and return its timeout. Raises ProtocolError
-    otherwise, so a malformed command gets an error reply from every worker
-    before any of them enters a collective."""
-    missing = [f for f in REQUIRED_FIELDS.get(op, ()) if f not in cmd]
-    if missing:
-        raise ProtocolError(f"{op} command lacks fields {missing}")
+    the op's call needs (a missing required field reads as None, which its
+    check refuses), and return its timeout. Raises ProtocolError otherwise, so a
+    malformed command gets an error reply from every worker before any of
+    them enters a collective."""
     timeout = cmd.get("timeout", DEFAULT_TIMEOUT)
     checks = [("timeout", type(timeout) in (int, float)
                and 0 < timeout <= TIMEOUT_MAX, "a positive number of seconds")]
     if op == "scale_out":
-        num_add, labels = cmd["num_add"], cmd.get("host_labels")
+        num_add, labels = cmd.get("num_add"), cmd.get("host_labels")
         checks += [
             ("num_add", type(num_add) is int and num_add >= 1,
              "a positive int"),
-            ("child_program", type(cmd["child_program"]) is str, "a string"),
+            ("child_program", type(cmd.get("child_program")) is str,
+             "a string"),
             ("child_args", _strings(cmd.get("child_args", [])),
              "a list of strings"),
             ("host_labels", labels is None
              or _strings(labels) and len(labels) == num_add,
              "absent or a list of num_add strings")]
     elif op == "scale_in":
-        checks.append(("is_removing", type(cmd["is_removing"]) is bool,
+        checks.append(("is_removing", type(cmd.get("is_removing")) is bool,
                        "a bool"))
     for field, ok, wanted in checks:
         if not ok:

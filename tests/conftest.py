@@ -59,6 +59,22 @@ def run_members(target, groups, timeout=JOIN_TIMEOUT):
     return results
 
 
+class Buffered(Exception):
+    pass
+
+
+def wait_buffered(endpoint, match, timeout=5.0):
+    """Block until an envelope satisfying ``match`` is buffered at
+    ``endpoint``, and leave it there: the receive's predicate only peeks."""
+    def peek(envelope):
+        if match(envelope):
+            raise Buffered
+        return False
+
+    with pytest.raises(Buffered):
+        endpoint.recv(peek, timeout)
+
+
 @pytest.fixture
 def two_groups():
     with cluster(2) as groups:

@@ -1,10 +1,10 @@
 """Module boundaries: no egroup module reaches into another's private names,
 only the spawner starts processes, every wire tag has a user, group
 messages travel only through ``gather_decide``'s star, and every library
-receive can see the channel it came on. Imports: no module loads ``json``,
-and none loads ``importlib`` when it is imported. Timeouts:
-no public call takes a ``*_timeout`` parameter, and no module raises a bare
-TimeoutError. Bytecode: no module writes any, or changes the caller's
+receive can see the channel it came on and, unless it cannot know it, names
+its sender. Imports: no module loads ``json``, and none loads ``importlib``
+when it is imported. Timeouts: no public call takes a ``*_timeout``
+parameter, and no module raises a bare TimeoutError. Bytecode: no module writes any, or changes the caller's
 bytecode settings, and no module has code that ``-O`` would compile
 differently. Synchronisation: one condition per endpoint, no events, and
 two other locks."""
@@ -217,12 +217,41 @@ def test_check_sees_star_calls(tmp_path):
         "sample.py:9 calls endpoint.recv"]
 
 
+# The receives that cannot name a sender: the driver's replies, the spawn
+# root's registrations and the worker's commands; each checks the channel
+# itself.
+ANONYMOUS_RECEIVERS = ("Driver._command", "launch_and_register", "_serve")
+
+
+def anonymous_receives(path, allowed=()):
+    """Yield each ``recv_with_channel`` call that names no sender (neither a
+    third argument nor ``peer_id``), outside the functions or methods named,
+    as ``name`` or ``Class.name``, in ``allowed``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = [(fn.name, fn) for fn in tree.body
+            if isinstance(fn, ast.FunctionDef)]
+    defs += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+             if isinstance(cls, ast.ClassDef)
+             for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    inside = {id(node) for name, fn in defs if name in allowed
+              for node in ast.walk(fn)}
+    for node in sorted(ast.walk(tree), key=lambda n: getattr(n, "lineno", 0)):
+        if (isinstance(node, ast.Call) and id(node) not in inside
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "recv_with_channel"
+                and len(node.args) < 3
+                and "peer_id" not in {k.arg for k in node.keywords}):
+            yield f"{path.name}:{node.lineno} receives from any sender"
+
+
 def test_library_receives_know_their_sender():
-    # Every receive outside the transport goes through recv_with_channel or
-    # a Node helper, so it can check the channel a message came on.
+    # Every receive outside the transport goes through recv_with_channel, so
+    # it sees the channel a message came on, and names the sender unless it
+    # is one of the receives that cannot know it.
     found = [call for path in sorted(SRC.glob("*.py"))
              if path.name != "transport.py"
-             for call in star_calls(path, calls={"recv": "endpoint"})]
+             for call in [*star_calls(path, calls={"recv": "endpoint"}),
+                          *anonymous_receives(path, ANONYMOUS_RECEIVERS)]]
     assert found == []
 
 
@@ -231,12 +260,32 @@ def test_check_sees_endpoint_receives(tmp_path):
     sample.write_text("node.endpoint.recv(match, 1)\n"
                       "env = self.node.endpoint.recv(match)\n"
                       "node.endpoint.recv_with_channel(match, 1)\n"
-                      "node.recv_from('a', match, 1)\n"
+                      "node.recv_on(g, 16, 0, 1)\n"
                       "sock.recv(4096)\n"
                       "endpoint.recv()\n")
     assert list(star_calls(sample, calls={"recv": "endpoint"})) == [
         "sample.py:1 calls endpoint.recv", "sample.py:2 calls endpoint.recv",
         "sample.py:6 calls endpoint.recv"]
+
+
+def test_check_sees_receives_without_a_sender(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("class Driver:\n"
+                      "    def _command(self):\n"
+                      "        self.node.endpoint.recv_with_channel(m, 1)\n"
+                      "    def ping(self):\n"
+                      "        self.node.endpoint.recv_with_channel(m, 1)\n"
+                      "def _serve(node):\n"
+                      "    node.endpoint.recv_with_channel(m)\n"
+                      "def attach(node, channel):\n"
+                      "    node.endpoint.recv_with_channel(m, 1, channel.peer_id)\n"
+                      "    node.endpoint.recv_with_channel(m, peer_id='a')\n"
+                      "    node.endpoint.recv_with_channel(m, timeout=1)\n"
+                      "endpoint.recv_with_channel()\n")
+    assert list(anonymous_receives(sample, ANONYMOUS_RECEIVERS)) == [
+        "sample.py:5 receives from any sender",
+        "sample.py:11 receives from any sender",
+        "sample.py:12 receives from any sender"]
 
 
 def _public(name):

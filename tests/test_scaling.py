@@ -93,7 +93,7 @@ class TestScaleOut:
                     assert rank == old_rank
                     assert size == 5
                     assert epoch == 1
-                    assert phases["total_s"] >= phases["spawn_s"] >= 0.0
+                    assert phases["spawn_s"] >= 0.0
                 for index, child_group in world.groups.items():
                     assert child_group.my_rank == 3 + index
                     assert child_group.size() == 5
@@ -231,7 +231,8 @@ class TestScaleOut:
         with Node(host_label="parent") as parent:
             ticket = BootstrapTicket(parent_address=parent.listen_address,
                                      parent_epoch=0, child_index=0,
-                                     host_label="h", child_count=1)
+                                     host_label="h", child_count=1,
+                                     spawn_id="0f")
             start = time.monotonic()
             with pytest.raises(DeadlineExceeded):
                 init_new_process(ticket=ticket, timeout=1.0)

@@ -30,6 +30,7 @@ from egroup.spawner import (
     ENV_HOST_LABEL,
     ENV_PARENT_ADDR,
     ENV_PARENT_EPOCH,
+    ENV_SPAWN_ID,
     IMPORT_ROOT,
     BootstrapTicket,
     LocalProcessLauncher,
@@ -38,10 +39,10 @@ from egroup.spawner import (
     launch_and_register,
     spawn,
 )
-
+from egroup.transport import match_fields
 from egroup.wire import Envelope
 
-from conftest import cluster, run_members
+from conftest import cluster, run_members, wait_buffered
 
 
 class TestSpawnSpec:
@@ -102,15 +103,17 @@ class TestBootstrapTicket:
     def test_env_round_trip(self):
         ticket = BootstrapTicket(parent_address="127.0.0.1:5000",
                                  parent_epoch=3, child_index=1,
-                                 host_label="nodeX", child_count=4)
+                                 host_label="nodeX", child_count=4,
+                                 spawn_id="0123456789abcdef")
         assert BootstrapTicket.from_env(ticket.to_env()) == ticket
 
     def test_env_variable_names_are_pinned(self):
         ticket = BootstrapTicket(parent_address="a:1", parent_epoch=0,
-                                 child_index=0, host_label="h", child_count=1)
+                                 child_index=0, host_label="h", child_count=1,
+                                 spawn_id="0f")
         assert set(ticket.to_env()) == {
             "EG_PARENT_ADDR", "EG_PARENT_EPOCH", "EG_CHILD_INDEX",
-            "EG_HOST_LABEL", "EG_CHILD_COUNT"}
+            "EG_HOST_LABEL", "EG_CHILD_COUNT", "EG_SPAWN_ID"}
 
     def test_missing_env_means_not_spawned(self):
         with pytest.raises(NotSpawnedError):
@@ -125,31 +128,45 @@ class TestBootstrapTicket:
     def test_malformed_env_rejected(self, variable, value):
         env = {ENV_PARENT_ADDR: "a:1", ENV_PARENT_EPOCH: "0",
                ENV_CHILD_INDEX: "0", ENV_HOST_LABEL: "h",
-               ENV_CHILD_COUNT: "10", variable: value}
+               ENV_CHILD_COUNT: "10", ENV_SPAWN_ID: "0f", variable: value}
         with pytest.raises(ValueError, match=variable):
             BootstrapTicket.from_env(env)
         del env[variable]
         with pytest.raises(ValueError, match=variable):
             BootstrapTicket.from_env(env)
 
+    def test_empty_or_missing_spawn_id_rejected(self):
+        env = {ENV_PARENT_ADDR: "a:1", ENV_PARENT_EPOCH: "0",
+               ENV_CHILD_INDEX: "0", ENV_HOST_LABEL: "h",
+               ENV_CHILD_COUNT: "1", ENV_SPAWN_ID: ""}
+        with pytest.raises(ValueError, match=ENV_SPAWN_ID):
+            BootstrapTicket.from_env(env)
+        del env[ENV_SPAWN_ID]
+        with pytest.raises(ValueError, match=ENV_SPAWN_ID):
+            BootstrapTicket.from_env(env)
+
     def test_index_must_be_in_range(self):
         with pytest.raises(ValueError):
             BootstrapTicket(parent_address="a:1", parent_epoch=0,
-                            child_index=2, host_label="h", child_count=2)
+                            child_index=2, host_label="h", child_count=2,
+                            spawn_id="0f")
 
     def test_epoch_must_be_non_negative(self):
         with pytest.raises(ValueError):
             BootstrapTicket(parent_address="a:1", parent_epoch=-1,
-                            child_index=0, host_label="h", child_count=1)
+                            child_index=0, host_label="h", child_count=1,
+                            spawn_id="0f")
 
 
 class ChildRecorder:
     """Thread-launcher target that bootstraps like a real child and records
     the outcome per child index."""
 
-    def __init__(self, register_delay=None, skip_indexes=()):
+    def __init__(self, register_delay=None, skip_indexes=(),
+                 attach_timeout=30.0):
         self.register_delay = register_delay
         self.skip_indexes = set(skip_indexes)
+        self.attach_timeout = attach_timeout
         self.results = {}
         self.errors = {}
         self.lock = threading.Lock()
@@ -163,7 +180,8 @@ class ChildRecorder:
         try:
             node = Node(host_label=ticket.host_label)
             try:
-                inter = attach_parent(node, ticket, timeout=30.0)
+                inter = attach_parent(node, ticket,
+                                      timeout=self.attach_timeout)
             except Exception:
                 node.close()
                 raise
@@ -319,7 +337,8 @@ class TestSpawnWithThreads:
         def child(env):
             ticket = BootstrapTicket.from_env(env)
             with Node(host_label=ticket.host_label) as node:
-                register(node, ticket, {"child_index": ticket.child_index})
+                register(node, ticket, {"child_index": ticket.child_index,
+                                        "spawn_id": ticket.spawn_id})
                 done.wait(30)
 
         try:
@@ -332,6 +351,54 @@ class TestSpawnWithThreads:
         finally:
             done.set()
 
+    def test_registration_without_spawn_id_is_protocol_error(self):
+        done = threading.Event()
+
+        def child(env):
+            ticket = BootstrapTicket.from_env(env)
+            with Node(host_label=ticket.host_label) as node:
+                register(node, ticket, node.descriptor().to_fields())
+                done.wait(30)
+
+        try:
+            with cluster(1) as groups:
+                with pytest.raises(ProtocolError, match="spawn id"):
+                    spawn(groups[0], SpawnSpec(program="-", count=1),
+                          launcher=ThreadLauncher(child), timeout=10.0)
+                assert allgather(groups[0], b"ok") == b"ok"
+        finally:
+            done.set()
+
+    def test_retried_spawn_admits_only_its_own_children(self):
+        # The first spawn gives up on child 1 at 0.5 s; that child registers
+        # at 1 s, and its registration is still buffered when a second spawn
+        # at the same epoch starts. The second spawn returns, and answers,
+        # its own two children; the late one is never answered.
+        first = ChildRecorder(register_delay=lambda i: float(i),
+                              attach_timeout=2.0)
+        second = ChildRecorder()
+        try:
+            with cluster(1) as (group,):
+                spec = SpawnSpec(program="-", count=2)
+                with pytest.raises(SpawnError, match=r"\[1\]"):
+                    spawn(group, spec, launcher=ThreadLauncher(first.target),
+                          timeout=0.5)
+                wait_buffered(group.node.endpoint,
+                              match_fields(tag=wire.TAG_SPAWN_REGISTER))
+                inter = spawn(group, spec,
+                              launcher=ThreadLauncher(second.target),
+                              timeout=10.0)
+                second.wait(2)
+                first.wait(2)
+            assert not second.errors
+            assert [m.incarnation_id for m in inter.remote_roster] == [
+                second.results[i][0].incarnation_id for i in range(2)]
+            assert isinstance(first.errors[0], SpawnError)
+            assert isinstance(first.errors[1], DeadlineExceeded)
+        finally:
+            first.close()
+            second.close()
+
     def test_unreachable_registered_child_stops_every_child(self):
         # Child 0 registers and exits; child 1 registers 0.6 s later. The
         # root cannot answer child 0, still answers child 1, stops both and
@@ -343,7 +410,8 @@ class TestSpawnWithThreads:
             node = Node(host_label=ticket.host_label)
             if ticket.child_index == 0:
                 with node:
-                    register(node, ticket, node.descriptor().to_fields())
+                    register(node, ticket, {**node.descriptor().to_fields(),
+                                            "spawn_id": ticket.spawn_id})
                 return
             time.sleep(0.6)
             start = time.monotonic()
@@ -379,7 +447,8 @@ class TestSpawnWithThreads:
                     host_label=ticket.host_label,
                     listen_address=node.listen_address,
                     incarnation_id="impostor-1")
-                register(node, ticket, impostor.to_fields())
+                register(node, ticket, {**impostor.to_fields(),
+                                        "spawn_id": ticket.spawn_id})
                 done.wait(30)
 
         launcher = StopRecorder(child)
@@ -413,7 +482,7 @@ class TestAttachParent:
             port = probe.getsockname()[1]
         ticket = BootstrapTicket(parent_address=f"127.0.0.1:{port}",
                                  parent_epoch=0, child_index=0,
-                                 host_label="h", child_count=1)
+                                 host_label="h", child_count=1, spawn_id="0f")
         before = set(threading.enumerate())
         with pytest.raises(ConnectError):
             attach_parent(ticket=ticket)
@@ -430,7 +499,8 @@ class TestAttachParent:
         with socket.create_server(("127.0.0.1", 0)) as server:
             ticket = BootstrapTicket(
                 parent_address=f"127.0.0.1:{server.getsockname()[1]}",
-                parent_epoch=0, child_index=0, host_label="h", child_count=1)
+                parent_epoch=0, child_index=0, host_label="h", child_count=1,
+                spawn_id="0f")
             with Node(host_label="h") as node:
                 start = time.monotonic()
                 with pytest.raises(DeadlineExceeded):

@@ -23,6 +23,8 @@ from egroup.transport import (
 )
 from egroup.wire import Envelope
 
+from conftest import cluster, wait_buffered
+
 
 def make_endpoint(name, epoch=-1):
     endpoint = listen("127.0.0.1:0", identity=name)
@@ -267,6 +269,53 @@ def test_selective_receive_buffers_non_matching():
     finally:
         a.close()
         b.close()
+
+
+def test_receive_naming_a_sender_tests_only_its_envelopes():
+    a, b, c = (make_endpoint(name, 0) for name in ("A", "B", "C"))
+    try:
+        from_b = b.connect(c.listen_address)
+        for i in range(5):
+            from_b.send(env(payload=b"b%d" % i))
+        wait_buffered(c, lambda e: e.payload == b"b4")
+        a.connect(c.listen_address).send(env(payload=b"a"))
+        seen = []
+
+        def counting(envelope):
+            seen.append(envelope.payload)
+            return True
+
+        got, channel = c.recv_with_channel(counting, 5, "A")
+        assert (got.payload, channel.peer_id, seen) == (b"a", "A", [b"a"])
+        assert c.recv(timeout=5).payload == b"b0"
+    finally:
+        for endpoint in (a, b, c):
+            endpoint.close()
+
+
+def test_misrouted_envelope_waits_for_the_fence():
+    # A third process dials rank 0 and forges rank 1's header. recv_on takes
+    # only what came on rank 1's channel; the forgery stays buffered until
+    # the fence rejects it, with a notice to the process that sent it.
+    with cluster(2) as (g0, g1):
+        intruder = Node(host_label="intruder")
+        try:
+            intruder.endpoint.advance_to(g0.epoch)
+            channel = intruder.endpoint.connect(g0.node.listen_address)
+            channel.send(env(epoch=g0.epoch, tag=77, src=1, dst=0,
+                             payload=b"forged"))
+            wait_buffered(g0.node.endpoint, lambda e: e.payload == b"forged")
+            g1.node.send(g1, 0, 77, b"real")
+            assert g0.node.recv_on(g0, 77, 1, timeout=5).payload == b"real"
+            rejected = g0.node.endpoint.stale_rejected_count
+            g0.node.endpoint.advance_to(g0.epoch + 1)
+            notice = channel.wait_reject(1.0)
+            assert notice is not None
+            assert (notice["envelope_epoch"], notice["receiver_epoch"],
+                    notice["tag"]) == (g0.epoch, g0.epoch + 1, 77)
+            assert g0.node.endpoint.stale_rejected_count == rejected + 1
+        finally:
+            intruder.close()
 
 
 def test_send_on_closed_channel_is_delivery_error():

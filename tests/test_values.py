@@ -45,7 +45,8 @@ VALUES = [
                      host_labels=("a", "b")),
      dict(args=("-q",))),
     (BootstrapTicket, dict(parent_address="127.0.0.1:1", parent_epoch=0,
-                           child_index=1, host_label="h", child_count=2),
+                           child_index=1, host_label="h", child_count=2,
+                           spawn_id="0f"),
      dict(child_index=0)),
     (ScaleInOutcome, dict(new_group=RetirementToken(epoch=1),
                           can_terminate_host=True),
@@ -127,11 +128,14 @@ def test_spawn_spec_stores_tuples():
     (SpawnSpec, dict(program="w", count=0)),
     (SpawnSpec, dict(program="w", count=2, host_labels=("a",))),
     (BootstrapTicket, dict(parent_address="a:1", parent_epoch=0,
-                           child_index=2, host_label="h", child_count=2)),
+                           child_index=2, host_label="h", child_count=2,
+                           spawn_id="0f")),
     (BootstrapTicket, dict(parent_address="a:1", parent_epoch=0,
-                           child_index=-1, host_label="h", child_count=2)),
+                           child_index=-1, host_label="h", child_count=2,
+                           spawn_id="0f")),
     (BootstrapTicket, dict(parent_address="a:1", parent_epoch=-1,
-                           child_index=0, host_label="h", child_count=1)),
+                           child_index=0, host_label="h", child_count=1,
+                           spawn_id="0f")),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else "")
 def test_checks_raise_value_error(cls, kwargs):
     with pytest.raises(ValueError):

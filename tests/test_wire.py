@@ -284,7 +284,7 @@ def wire_messages():
             reason="stale_epoch"),
         "reject_notice": transport._control(
             "reject_notice", envelope_epoch=1, receiver_epoch=2, tag=16),
-        "registration": member.to_fields(),
+        "registration": {**member.to_fields(), "spawn_id": "0123456789abcdef"},
         "spawn_outcome": {"parents": [member.to_fields()],
                           "children": [member.to_fields()] * 2},
         "digest_body": {"program": spec.program, "args": list(spec.args),

@@ -23,6 +23,7 @@ from egroup.spawner import (
     ENV_HOST_LABEL,
     ENV_PARENT_ADDR,
     ENV_PARENT_EPOCH,
+    ENV_SPAWN_ID,
     IMPORT_ROOT,
 )
 from egroup.wire import Envelope
@@ -224,6 +225,7 @@ class TestFleet:
 MALFORMED = {
     "missing-is_removing": ("scale_in", {}, "is_removing"),
     "missing-num_add": ("scale_out", {"child_program": "unused"}, "num_add"),
+    "missing-child_program": ("scale_out", {"num_add": 1}, "child_program"),
     "num_add-str": ("scale_out", {"num_add": "2",
                                   "child_program": sys.executable}, "num_add"),
     "num_add-bool": ("scale_out", {"num_add": True,
@@ -448,8 +450,10 @@ class TestWorkerExitCodes:
         (ENV_HOST_LABEL, "h" * 65),
         (ENV_PARENT_ADDR, "nohostport"),
         (ENV_PARENT_EPOCH, "3_0"),
+        (ENV_SPAWN_ID, ""),
+        (ENV_SPAWN_ID, None),
     ], ids=["empty-label", "long-label", "address-without-port",
-            "underscore-epoch"])
+            "underscore-epoch", "empty-spawn-id", "unset-spawn-id"])
     def test_malformed_ticket_value_is_usage_error(self, variable, value):
         # The parent listens, so a worker that let the value through would
         # dial it and fail later, with status 1 and a traceback.
@@ -458,7 +462,9 @@ class TestWorkerExitCodes:
         env.update({ENV_PARENT_ADDR: parent.listen_address,
                     ENV_PARENT_EPOCH: "0", ENV_CHILD_INDEX: "0",
                     ENV_HOST_LABEL: "node0", ENV_CHILD_COUNT: "1",
-                    variable: value})
+                    ENV_SPAWN_ID: "0f", variable: value})
+        if value is None:
+            del env[variable]
         try:
             proc = self.run_worker(env=env)
         finally:
