@@ -8,6 +8,13 @@ worker answers each command on the channel it came in on. It serves driver
 commands (barrier, allgather probes, scale events) until it is told to stop
 or a scale_in retires it. It takes no command-line arguments.
 
+A retiree leaves once it has answered: it lowers its own priority, closes
+its node and exits, so its host is free as soon as the driver has the
+reply. A straggling sender then sees the retiree's channel close by EOF,
+after which a send raises DeliveryError, and a fresh dial raises
+ConnectError. A send written before the sender has read that EOF may be
+absorbed by the kernel without any error.
+
 Exit status: 0 after a stop command or retirement, 2 on any argument or on
 a missing or malformed bootstrap ticket, 1 on unexpected failure.
 """
@@ -32,28 +39,12 @@ from .groups import RetirementToken, roster_digest
 from .scaling import init_new_process, scale_in, scale_out
 from .spawner import BootstrapTicket
 from .transport import match_fields
-from .wire import Deadline, Envelope
+from .wire import Envelope
 
 log = DeferredLogger(__name__)
 
 # Wide enough for any incarnation id; allgather blocks must share one width.
 ID_BLOCK_WIDTH = 128
-
-# Longest a retired worker lingers for straggling senders.
-DRAIN_TIMEOUT = 5.0
-
-
-def _drain_rejections(node):
-    """Stay reachable briefly after retirement so straggling senders get
-    stale rejections instead of connection failures."""
-    deadline, last = Deadline.of(DRAIN_TIMEOUT), None
-    while not deadline.expired():
-        count = node.endpoint.stale_rejected_count
-        if count != last:
-            last, quiet = count, Deadline.of(0.2)
-        elif quiet.expired():
-            return
-        time.sleep(0.05)
 
 
 def _strings(value) -> bool:
@@ -167,7 +158,9 @@ def _serve(group) -> None:
             src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
             payload=wire.encode_payload(body)))
         if body.get("retired"):
-            _drain_rejections(node)
+            # The survivors may still be answering the driver; the
+            # retiree's teardown must not take the CPU from them.
+            os.nice(19)
 
 
 def worker_main(argv=None, environ=None) -> int:

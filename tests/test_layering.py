@@ -7,7 +7,8 @@ when it is imported. Timeouts: no public call takes a ``*_timeout``
 parameter, and no module raises a bare TimeoutError. Bytecode: no module writes any, or changes the caller's
 bytecode settings, and no module has code that ``-O`` would compile
 differently. Synchronisation: one condition per endpoint, no events, and
-two other locks."""
+two other locks. Waits: no module calls ``time.sleep``, so every wait is on
+the endpoint's condition or bounded by a ``Deadline``."""
 
 import ast
 import pathlib
@@ -482,3 +483,32 @@ def test_check_sees_events_and_conditions(tmp_path):
         "sample.py:3 constructs Condition", "sample.py:3 constructs Lock",
         "sample.py:4 constructs Event", "sample.py:5 constructs Condition",
         "sample.py:6 constructs Event", "sample.py:8 constructs RLock"]
+
+
+def sleep_calls(path):
+    """Yield each call of ``sleep``, bare or as a module attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in sorted(ast.walk(tree), key=lambda n: getattr(n, "lineno", 0)):
+        if isinstance(node, ast.Call) and "sleep" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+            yield f"{path.name}:{node.lineno} calls sleep"
+
+
+def test_no_module_sleeps():
+    # A sleep-poll wakes late and spins while it waits; a waiter blocks on
+    # the endpoint's condition, or on a process or socket, until a Deadline.
+    found = [call for path in sorted(SRC.glob("*.py"))
+             for call in sleep_calls(path)]
+    assert found == []
+
+
+def test_check_sees_sleep_calls(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import time\n"
+                      "from time import sleep\n"
+                      "time.sleep(0.05)\n"
+                      "sleep(1)\n"
+                      "cond.wait_for(ready, 1)\n"
+                      "asleep = time.monotonic()\n")
+    assert list(sleep_calls(sample)) == [
+        "sample.py:3 calls sleep", "sample.py:4 calls sleep"]

@@ -15,7 +15,13 @@ from egroup.driver import (
     WorkerHandle,
     host_label_for_slot,
 )
-from egroup.errors import DeadlineExceeded, ProtocolError, SpawnError
+from egroup.errors import (
+    ConnectError,
+    DeadlineExceeded,
+    DeliveryError,
+    ProtocolError,
+    SpawnError,
+)
 from egroup.groups import MemberDescriptor
 from egroup.spawner import (
     ENV_CHILD_COUNT,
@@ -27,6 +33,11 @@ from egroup.spawner import (
     IMPORT_ROOT,
 )
 from egroup.wire import Envelope
+
+# Longest a retiree may take to exit after Driver.scale_in returns.
+RELEASE_BOUND = 0.15
+# Longest the driver may take to see an exited retiree's channel close.
+EOF_BOUND = 1.0
 
 
 def clean_env():
@@ -354,19 +365,46 @@ class TestFleetScaling:
             doomed = drv.workers[-1]
 
             reply = drv.scale_in(1)
+            answered = time.monotonic()
             assert drv.size == 3
             assert reply["rank"] == 0
             assert reply["size"] == 3
             assert reply["epoch"] == 1
             assert reply["retired"] is False
 
-            # The removed worker's process ends on its own with status 0.
+            # The removed worker's process ends on its own with status 0,
+            # soon after it has answered, so its host is free at once.
             codes = drv.wait_for_exit([doomed], timeout=10)
+            released = time.monotonic() - answered
             assert codes == {doomed.proc.pid: 0}
+            assert released < RELEASE_BOUND, (
+                f"retiree exited after {released:.3f} s")
 
             pings = drv.ping()
             assert sorted(m["rank"] for m in pings.values()) == [0, 1, 2]
             assert doomed.incarnation_id not in pings
+
+    def test_straggler_to_an_exited_retiree_gets_an_error(self):
+        with Driver(timeout=30) as drv:
+            drv.start_fleet(3)
+            doomed = drv.workers[-1]
+            channel = drv.node.channel_to(doomed.member)
+            drv.scale_in(1)
+            codes = drv.wait_for_exit([doomed], timeout=10)
+            assert codes == {doomed.proc.pid: 0}
+
+            # No reject notice comes: the channel closes by EOF, so every
+            # later send fails, and nothing listens at the address.
+            assert channel.wait_reject(timeout=EOF_BOUND) is None
+            assert channel.closed
+            with pytest.raises(DeliveryError):
+                channel.send(Envelope(epoch=1, tag=wire.TAG_DRIVER_CMD,
+                                      src_rank=wire.NO_RANK,
+                                      dst_rank=wire.NO_RANK, payload=b""))
+            with pytest.raises(ConnectError):
+                drv.node.endpoint.connect(doomed.member.listen_address,
+                                          expect_id=doomed.incarnation_id,
+                                          timeout=EOF_BOUND)
 
     def test_scale_in_reports_retiree_host_decisions(self):
         # Four retirees alone on node1 may each retire their host; the
