@@ -33,7 +33,7 @@ from .wire import Deadline, Envelope
 
 log = DeferredLogger(__name__)
 
-# How long close() lets workers that acknowledged stop exit on their own.
+# How long stop_all waits for replies, and close() for acknowledged exits.
 STOP_GRACE = 2.0
 
 
@@ -84,7 +84,7 @@ class Driver:
     collectives end when the driver stops waiting."""
 
     def __init__(self, worker_command=None, slots_per_host: int = 32,
-                 timeout: float | None = DEFAULT_TIMEOUT, stderr=None):
+                 timeout: float | None = DEFAULT_TIMEOUT):
         self.worker_command = list(worker_command or default_worker_command())
         self.slots_per_host = slots_per_host
         self.timeout = timeout
@@ -92,8 +92,7 @@ class Driver:
         self.workers = []
         self.epoch = 0
         self._seq = 0
-        self._launcher = LocalProcessLauncher(stdout=subprocess.DEVNULL,
-                                              stderr=stderr)
+        self._launcher = LocalProcessLauncher(stdout=subprocess.DEVNULL)
         self._procs = []
 
     @property
@@ -133,7 +132,7 @@ class Driver:
                       deadline=HANDSHAKE_TIMEOUT, **params):
         """Send command ``seq``; ``deadline`` bounds a dial to the worker."""
         self.node.send_to(handle.member, Envelope(
-            epoch=max(handle.epoch, 0), tag=wire.TAG_DRIVER_CMD,
+            epoch=handle.epoch, tag=wire.TAG_DRIVER_CMD,
             src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
             payload=wire.encode_payload({**params, "op": op, "seq": seq})),
             deadline)
@@ -205,7 +204,7 @@ class Driver:
         return {msg["digest"] for msg in replies.values()}
 
     def allgather_ids(self) -> dict:
-        """Returns {incarnation_id: {"ids": [...], "elapsed_s": s}}."""
+        """Returns {incarnation_id: {"ids": [every worker's id, by rank]}}."""
         return self.command_all("allgather_ids")
 
     def scale_out(self, delta: int, timeout: float | None = None) -> dict:
@@ -300,7 +299,7 @@ class Driver:
 
     def stop_all(self) -> None:
         if self.workers:
-            self.command_all("stop")
+            self.command_all("stop", timeout=STOP_GRACE)
             self.workers = []
 
     def close(self) -> None:

@@ -1,8 +1,8 @@
 """Per-process runtime state: identity, endpoint, epochs, and group plumbing.
 
-A Node owns exactly one Endpoint, which also holds the process's epoch fence,
-for the lifetime of the process, no matter how many groups the process moves
-through. Channels to peers are opened on first use and reused across epochs.
+A Node owns exactly one Endpoint for the life of the process, whatever groups
+it moves through; the Endpoint's epoch fence records how far it has joined.
+Channels to peers are opened on first use and reused across epochs.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ class Node:
         self.endpoint = Endpoint(bind, self.incarnation_id)
         self._tag_lock = threading.Lock()
         self._tag_counters = {}
-        # Set by init_new_process: a parent link can be merged only once.
-        self.merged_with_parent = False
         # spawn's LocalProcessLauncher when it is given none: made on first
         # use, kept to reap children and reuse its code image, closed here.
         self.launcher = None

@@ -86,11 +86,14 @@ def init_new_process(node: Node | None = None,
     side, and return the combined group. Single use; the inter-group link is
     consumed by the merge. A parent that sends no parent roster is the
     driver, which is not a group member: the siblings alone are the group.
-    One deadline bounds the attach and the merge."""
-    if node is not None and node.merged_with_parent:
+    One deadline bounds the attach and the merge. A node whose epoch fence
+    is past the ticket's epoch has already joined; it is refused."""
+    if ticket is None:
+        ticket = BootstrapTicket.from_env()
+    if node is not None and node.endpoint.fence > ticket.parent_epoch:
         raise ProtocolError(
-            "this node already merged with its parent; the inter-group "
-            "is consumed")
+            f"this node is at epoch {node.endpoint.fence}, past its parent's "
+            f"{ticket.parent_epoch}; it has already joined")
     deadline = Deadline.of(timeout)
     inter = attach_parent(node=node, ticket=ticket, timeout=deadline)
     if not inter.remote_roster:
@@ -101,7 +104,6 @@ def init_new_process(node: Node | None = None,
         if node is None:  # attach_parent made this node; nobody else can close it
             inter.local_group.node.close()
         raise
-    group.node.merged_with_parent = True
     return group
 
 

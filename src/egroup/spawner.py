@@ -3,10 +3,11 @@ root, and link both sides as an InterGroup ready to merge. ``spawn`` is one
 round of ``collectives.gather_decide`` at rank 0, which checks that every
 member asked for the same children and then launches them. Rank 0 is also
 the root of the merge that follows, so the inter-group does not record it.
-Registration has the same star shape: each child sends the root its
-descriptor, with its child_index in the header, and the root sends every
-child one outcome on that child's channel. The driver starts the initial
-fleet through ``launch_and_register`` too, as the spawn root of epoch 0.
+Registration has the same star shape: each child sends the root its host
+label and listen address, with its child_index in the header, and gets one
+outcome on its channel, whose handshake proved its id. The driver starts
+the initial fleet through ``launch_and_register`` too, as the spawn root
+of epoch 0.
 
 Host placement is emulated: a child gets its logical host label from its
 bootstrap environment, so multi-host layouts run on one machine. Launchers
@@ -304,15 +305,16 @@ def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,
     channel it registered on, one outcome: the ``parents`` roster and its
     siblings, or the error. Returns the children in child_index order.
 
-    A registration carries its child_index in ``src_rank`` and the
-    descriptor of the process on its channel, with its ticket's spawn id;
-    one with another call's id is dropped. Every launcher handle is
-    appended to ``handles`` as it starts. On any failure every child this
-    call launched is stopped and the error propagates: a SpawnError naming
-    the missing child_index values once ``timeout`` (seconds or a Deadline)
-    passes, a child that exited without registering or one that could not
-    be answered; a ProtocolError on a bad or repeated registration. A
-    registration sent before an exit has one more EXIT_POLL to arrive.
+    A registration carries its child_index in ``src_rank`` and the child's
+    host label, listen address and spawn id; the child's id is the one its
+    channel's handshake proved. One with another call's spawn id is dropped.
+    Every launcher handle is appended to ``handles`` as it starts. On any
+    failure every child this call launched is stopped and the error
+    propagates: a SpawnError naming the missing child_index values once
+    ``timeout`` (seconds or a Deadline) passes, a child that exited without
+    registering or one that could not be answered; a ProtocolError on a bad
+    or repeated registration. A registration sent before an exit has one
+    more EXIT_POLL to arrive.
     """
     deadline, spawn_id = Deadline.of(timeout), os.urandom(8).hex()
     registered, channels, exited = {}, {}, {}
@@ -347,7 +349,8 @@ def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,
                         exited[index] = status
                 continue
             fields, index = wire.decode_payload(env.payload), env.src_rank
-            member = MemberDescriptor.from_fields(fields)
+            member = MemberDescriptor.from_fields(
+                {**fields, "incarnation_id": channel.peer_id})
             if not fields.get("spawn_id"):
                 raise ProtocolError(f"registration without a spawn id: {fields}")
             if fields["spawn_id"] != spawn_id:
@@ -356,10 +359,6 @@ def launch_and_register(node: Node, spec: SpawnSpec, launcher: Launcher,
             if not 0 <= index < spec.count or index in registered:
                 raise ProtocolError(
                     f"registration with bad or repeated child_index {index}")
-            if member.incarnation_id != channel.peer_id:
-                raise ProtocolError(
-                    f"child_index {index} registered {member.incarnation_id} "
-                    f"on the channel of {channel.peer_id}")
             registered[index], channels[index] = member, channel
         remote = tuple(registered[i] for i in range(spec.count))
         outcome = ok_outcome(wire.encode_payload({
@@ -406,8 +405,9 @@ def attach_parent(node: Node | None = None,
         channel.send(Envelope(
             epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REGISTER,
             src_rank=ticket.child_index, dst_rank=wire.NO_RANK,
-            payload=wire.encode_payload({**node.descriptor().to_fields(),
-                                         "spawn_id": ticket.spawn_id})))
+            payload=wire.encode_payload({
+                "host_label": node.host_label, "spawn_id": ticket.spawn_id,
+                "listen_address": node.listen_address})))
         match = match_fields(epoch=ticket.parent_epoch, tag=wire.TAG_SPAWN_REPLY)
         reply, _ = node.endpoint.recv_with_channel(
             match, deadline.for_outcome(), channel.peer_id)

@@ -56,9 +56,10 @@ HANDSHAKE_TIMEOUT = 10.0
 RECV_BYTES = 64 * 1024
 
 
-def _control(kind: str, frame_epoch: int = 0, /, **fields) -> Envelope:
-    """A tag-0 control envelope; ``fields`` may carry their own epoch."""
-    return Envelope(epoch=frame_epoch, tag=wire.TAG_CONTROL,
+def _control(kind: str, **fields) -> Envelope:
+    """A tag-0 control envelope. Nothing reads its header epoch: control
+    frames are handled before any fence check, so a hello's is a field."""
+    return Envelope(epoch=0, tag=wire.TAG_CONTROL,
                     src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
                     payload=wire.encode_payload({**fields, "kind": kind}))
 
@@ -199,7 +200,7 @@ class Endpoint:
         sock.settimeout(deadline.remaining())
         try:
             sock.sendall(wire.pack(_control(
-                "hello", max(epoch, 0), incarnation_id=self.identity, epoch=epoch)))
+                "hello", incarnation_id=self.identity, epoch=epoch)))
             msg = wire.decode_payload(wire.read_envelope(sock).payload)
         except (OSError, ProtocolError) as exc:
             sock.close()

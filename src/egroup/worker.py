@@ -96,21 +96,20 @@ def _execute(group, cmd: dict):
     timeout = _checked_timeout(op, cmd)
     start = time.perf_counter()
     if op == "stop":
-        return None, {"stopped": True}
+        return None, {}
     if op == "barrier":
         barrier(group, timeout=timeout)
         return group, {}
     if op == "ping":
         return group, _position(group)
     if op == "digest":
-        return group, {"digest": roster_digest(group.roster), **_position(group)}
+        return group, {"digest": roster_digest(group.roster)}
     if op == "allgather_ids":
         block = group.node.incarnation_id.encode().ljust(ID_BLOCK_WIDTH, b"\x00")
         gathered = allgather(group, block, timeout=timeout)
-        elapsed = time.perf_counter() - start
         ids = [gathered[i:i + ID_BLOCK_WIDTH].rstrip(b"\x00").decode()
                for i in range(0, len(gathered), ID_BLOCK_WIDTH)]
-        return group, {"ids": ids, "elapsed_s": elapsed}
+        return group, {"ids": ids}
     if op == "scale_out":
         phases = {}
         size_before = len(group.roster)
@@ -154,7 +153,7 @@ def _serve(group) -> None:
             body = {"ok": False, **error_fields(exc)}
         body["seq"] = cmd.get("seq")
         channel.send(Envelope(
-            epoch=max(node.endpoint.fence, 0), tag=wire.TAG_DRIVER_REPLY,
+            epoch=node.endpoint.fence, tag=wire.TAG_DRIVER_REPLY,
             src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
             payload=wire.encode_payload(body)))
         if body.get("retired"):

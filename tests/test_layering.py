@@ -8,7 +8,8 @@ parameter, and no module raises a bare TimeoutError. Bytecode: no module writes 
 bytecode settings, and no module has code that ``-O`` would compile
 differently. Synchronisation: one condition per endpoint, no events, and
 two other locks. Waits: no module calls ``time.sleep``, so every wait is on
-the endpoint's condition or bounded by a ``Deadline``."""
+the endpoint's condition or bounded by a ``Deadline``. Replies: every key a
+worker writes into a reply is read by the driver side or the benchmark."""
 
 import ast
 import pathlib
@@ -512,3 +513,83 @@ def test_check_sees_sleep_calls(tmp_path):
                       "asleep = time.monotonic()\n")
     assert list(sleep_calls(sample)) == [
         "sample.py:3 calls sleep", "sample.py:4 calls sleep"]
+
+
+# The worker functions that write reply bodies, and the files that may read
+# them: the driver, the bench CLI, error decoding and the benchmark harness.
+REPLY_WRITERS = ("_execute", "_position", "_serve")
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _string(node):
+    return node.value if (isinstance(node, ast.Constant)
+                          and isinstance(node.value, str)) else None
+
+
+def reply_writes(path):
+    """Yield (line, key) for each string key of a dict display and each
+    string subscript assigned to in the module-level functions named in
+    REPLY_WRITERS, in source order."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    nodes = [node for fn in tree.body
+             if isinstance(fn, ast.FunctionDef) and fn.name in REPLY_WRITERS
+             for node in ast.walk(fn)]
+    for node in sorted(nodes, key=lambda n: (getattr(n, "lineno", 0),
+                                             getattr(n, "col_offset", 0))):
+        keys = (node.keys if isinstance(node, ast.Dict)
+                else [node.slice] if isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Store) else [])
+        for key in keys:
+            if _string(key) is not None:
+                yield key.lineno, _string(key)
+
+
+def read_keys(paths):
+    """Every string a file in ``paths`` reads as a key: a subscript that is
+    not assigned to, or the first argument of a ``.get`` call."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+                read.add(_string(node.slice))
+            elif (isinstance(node, ast.Call) and node.args
+                    and getattr(node.func, "attr", None) == "get"):
+                read.add(_string(node.args[0]))
+    return read
+
+
+def unread_reply_keys(worker_path, readers):
+    read = read_keys(readers)
+    for lineno, key in reply_writes(worker_path):
+        if key not in read:
+            yield f"{worker_path.name}:{lineno} writes unread {key}"
+
+
+def test_every_reply_key_is_read():
+    readers = [SRC / f"{name}.py" for name in ("driver", "bench", "errors")]
+    readers += sorted(PERFBENCH.glob("*.py"))
+    assert list(unread_reply_keys(SRC / "worker.py", readers)) == []
+
+
+def test_check_sees_unread_reply_keys(tmp_path):
+    worker = tmp_path / "worker.py"
+    worker.write_text("def _execute(cmd):\n"
+                      "    if cmd.get('op'):\n"
+                      "        return {'ids': [], 'elapsed_s': 1.0}\n"
+                      "    return {'stopped': True, **_position()}\n"
+                      "def _position():\n"
+                      "    return {'rank': 0}\n"
+                      "def _serve(body):\n"
+                      "    body['seq'] = 1\n"
+                      "    body['ok'] = body.get('retired')\n"
+                      "def helper():\n"
+                      "    return {'unused': 1}\n")
+    driver = tmp_path / "driver.py"
+    driver.write_text("msg['ids']\n"
+                      "msg.get('ok', False)\n"
+                      "msg['stopped'] = True\n"
+                      "print('elapsed_s')\n"
+                      "other.get(key, 'rank')\n")
+    assert list(unread_reply_keys(worker, [driver])) == [
+        "worker.py:3 writes unread elapsed_s", "worker.py:4 writes unread stopped",
+        "worker.py:6 writes unread rank", "worker.py:8 writes unread seq"]

@@ -1,6 +1,7 @@
 """Growing and shrinking live groups."""
 
 import random
+import socket
 import subprocess
 import sys
 import threading
@@ -237,6 +238,25 @@ class TestScaleOut:
             with pytest.raises(DeadlineExceeded):
                 init_new_process(ticket=ticket, timeout=1.0)
             assert time.monotonic() - start < 2.0
+
+    def test_init_on_a_joined_node_is_refused_without_dialing(self):
+        # A fence past the ticket's epoch means the node has joined already;
+        # the refusal comes before any dial, so the parent sees no connection.
+        with socket.socket() as parent, Node(host_label="h") as node:
+            parent.bind(("127.0.0.1", 0))
+            parent.listen()
+            parent.setblocking(False)
+            ticket = BootstrapTicket(
+                parent_address="127.0.0.1:%d" % parent.getsockname()[1],
+                parent_epoch=2, child_index=0, host_label="h", child_count=1,
+                spawn_id="0f")
+            node.endpoint.advance_to(3)
+            start = time.monotonic()
+            with pytest.raises(ProtocolError, match="already joined"):
+                init_new_process(node=node, ticket=ticket, timeout=30)
+            assert time.monotonic() - start < 1.0
+            with pytest.raises(BlockingIOError):
+                parent.accept()
 
 
 class TestScaleIn:

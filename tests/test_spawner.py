@@ -23,7 +23,7 @@ from egroup.errors import (
     ProtocolError,
     SpawnError,
 )
-from egroup.groups import InterGroup, MemberDescriptor
+from egroup.groups import InterGroup
 from egroup.spawner import (
     ENV_CHILD_COUNT,
     ENV_CHILD_INDEX,
@@ -437,42 +437,42 @@ class TestSpawnWithThreads:
             assert isinstance(attached["result"], InterGroup)
             assert allgather(groups[0], b"ok") == b"ok"
 
-    def test_descriptor_naming_another_process_is_protocol_error(self):
-        done = threading.Event()
+    def test_registration_cannot_name_another_process(self):
+        # A payload that names another incarnation id gets the id its
+        # channel's handshake proved, in every member's roster and in the
+        # sibling roster the child is sent.
+        seen = {}
 
         def child(env):
             ticket = BootstrapTicket.from_env(env)
             with Node(host_label=ticket.host_label) as node:
-                impostor = MemberDescriptor(
-                    host_label=ticket.host_label,
-                    listen_address=node.listen_address,
-                    incarnation_id="impostor-1")
-                register(node, ticket, {**impostor.to_fields(),
-                                        "spawn_id": ticket.spawn_id})
-                done.wait(30)
+                register(node, ticket, {
+                    "host_label": ticket.host_label,
+                    "listen_address": node.listen_address,
+                    "incarnation_id": "impostor-1",
+                    "spawn_id": ticket.spawn_id})
+                reply, _ = node.endpoint.recv_with_channel(
+                    match_fields(tag=wire.TAG_SPAWN_REPLY), 10)
+                seen["own"] = node.incarnation_id
+                seen["children"] = wire.decode_payload(
+                    wire.unwrap_outcome(reply.payload))["children"]
 
         launcher = StopRecorder(child)
 
         def member(group):
-            start = time.monotonic()
-            with pytest.raises(ProtocolError, match="impostor-1"):
-                spawn(group, SpawnSpec(program="-", count=1),
-                      launcher=launcher if group.my_rank == 0 else None,
-                      timeout=10.0)
-            elapsed = time.monotonic() - start
-            return elapsed, allgather(group, bytes([group.my_rank]))
+            return spawn(group, SpawnSpec(program="-", count=1),
+                         launcher=launcher if group.my_rank == 0 else None,
+                         timeout=10.0)
 
-        try:
-            with cluster(3) as groups:
-                results = run_members(member, groups)
-        finally:
-            done.set()
-            for handle in launcher.launched:
-                handle.join(5)
-                assert not handle.is_alive()
-        assert launcher.stopped == launcher.launched
-        assert [gathered for _, gathered in results] == [b"\x00\x01\x02"] * 3
-        assert all(elapsed < 2.0 for elapsed, _ in results), results
+        with cluster(3) as groups:
+            inters = run_members(member, groups)
+        for handle in launcher.launched:
+            handle.join(5)
+            assert not handle.is_alive()
+        assert launcher.stopped == []
+        assert [[m.incarnation_id for m in inter.remote_roster]
+                for inter in inters] == [[seen["own"]]] * 3
+        assert [m["incarnation_id"] for m in seen["children"]] == [seen["own"]]
 
 
 class TestAttachParent:

@@ -276,7 +276,7 @@ def wire_messages():
     spec = SpawnSpec(program=sys.executable, args=("-S", "-c", "pass"),
                      count=2, host_labels=("node0", "node1"))
     return {
-        "hello": transport._control("hello", 2, incarnation_id="a.1", epoch=2),
+        "hello": transport._control("hello", incarnation_id="a.1", epoch=2),
         "hello_ok": transport._control("hello_ok", incarnation_id="b.2",
                                        epoch=-1),
         "hello_reject": transport._control(
@@ -284,7 +284,9 @@ def wire_messages():
             reason="stale_epoch"),
         "reject_notice": transport._control(
             "reject_notice", envelope_epoch=1, receiver_epoch=2, tag=16),
-        "registration": {**member.to_fields(), "spawn_id": "0123456789abcdef"},
+        "registration": {"host_label": member.host_label,
+                         "listen_address": member.listen_address,
+                         "spawn_id": "0123456789abcdef"},
         "spawn_outcome": {"parents": [member.to_fields()],
                           "children": [member.to_fields()] * 2},
         "digest_body": {"program": spec.program, "args": list(spec.args),
@@ -295,9 +297,7 @@ def wire_messages():
                            "child_args": ["-S", "-c", "main()"],
                            "host_labels": ["node0", "node1"]},
         "scale_in_command": {"op": "scale_in", "seq": 8, "is_removing": True},
-        "worker_reply": {"ok": True, "seq": 7, "ids": ["a.1", "b.2"],
-                         "elapsed_s": 0.004, "rank": 0, "size": 2,
-                         "epoch": 3},
+        "worker_reply": {"ok": True, "seq": 7, "ids": ["a.1", "b.2"]},
         "error_reply": {"ok": False, "seq": 9,
                         **errors.error_fields(errors.SpawnError("no"))},
     }

@@ -1,6 +1,7 @@
 """Driver and worker processes talking over real sockets."""
 
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -75,7 +76,6 @@ class TestFleet:
             fleet_ids = [h.incarnation_id for h in drv.workers]
             for msg in replies.values():
                 assert msg["ids"] == fleet_ids
-                assert msg["elapsed_s"] >= 0.0
 
     def test_unknown_command_surfaces_as_failure(self):
         with Driver(timeout=30) as drv:
@@ -229,6 +229,25 @@ class TestFleet:
         finally:
             drv.close()
         assert [p.returncode for p in procs] == [0, 0, 0, 0]
+
+    def test_close_waits_stop_grace_for_a_silent_worker(self):
+        # A stopped worker never answers stop: close() gives up on the
+        # command after STOP_GRACE, not the driver's 30 s, and the launcher
+        # then kills it.
+        drv = Driver(timeout=30)
+        procs, start = [], time.monotonic()
+        try:
+            drv.start_fleet(2)
+            procs = [h.proc for h in drv.workers]
+            os.kill(procs[1].pid, signal.SIGSTOP)
+            start = time.monotonic()
+        finally:
+            drv.close()
+            elapsed = time.monotonic() - start
+            for proc in procs:
+                proc.kill()
+                proc.wait(10)
+        assert elapsed < 8.0
 
 
 # One row per malformed command, sent to every worker: the op, its fields,
