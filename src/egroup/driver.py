@@ -28,7 +28,7 @@ from .errors import (
 from .groups import MemberDescriptor
 from .node import Node
 from .spawner import LocalProcessLauncher, SpawnSpec, launch_and_register
-from .transport import HANDSHAKE_TIMEOUT, match_fields
+from .transport import match_fields
 from .wire import Deadline, Envelope
 
 log = DeferredLogger(__name__)
@@ -128,13 +128,11 @@ class Driver:
         self._seq += 1
         return self._seq
 
-    def _send_command(self, handle: WorkerHandle, seq: int, op: str,
-                      deadline=HANDSHAKE_TIMEOUT, **params):
-        """Send command ``seq``; ``deadline`` bounds a dial to the worker."""
+    def _send_command(self, handle: WorkerHandle, payload: bytes, deadline):
+        """Send an encoded command; ``deadline`` bounds a dial to the worker."""
         self.node.send_to(handle.member, Envelope(
             epoch=handle.epoch, tag=wire.TAG_DRIVER_CMD,
-            src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK,
-            payload=wire.encode_payload({**params, "op": op, "seq": seq})),
+            src_rank=wire.NO_RANK, dst_rank=wire.NO_RANK, payload=payload),
             deadline)
 
     def _answers(self, msg: dict, seq: int, sender: str, addressed) -> bool:
@@ -154,22 +152,22 @@ class Driver:
     def _deadline(self, timeout) -> Deadline:
         return Deadline.of(self.timeout if timeout is None else timeout)
 
-    def _command(self, handles: list, op: str, per_worker_params=None,
-                 timeout=None, **params) -> dict:
-        """Send one command to each of ``handles`` and wait for every reply,
-        keyed by its channel's incarnation id; raises CommandFailure for the
-        first one that reports an error. ``timeout`` is seconds or a Deadline;
-        the command carries the seconds left, and replies are awaited
+    def _command(self, handles: list, fields: dict, timeout=None) -> dict:
+        """Send ``fields``, one command, to each of ``handles`` as one payload
+        and wait for every reply, keyed by its channel's incarnation id;
+        raises CommandFailure for the first one that carries an error.
+        ``timeout`` is seconds or a Deadline; the command carries the seconds
+        left unless ``fields`` has a ``timeout``, and replies are awaited
         OUTCOME_SLACK longer, for workers that give up at the deadline."""
         deadline = self._deadline(timeout)
         if deadline.expired():
-            raise DeadlineExceeded(f"deadline passed before sending {op!r}")
+            raise DeadlineExceeded(f"deadline passed before sending {fields}")
         if deadline.at is not None:
-            params["timeout"] = deadline.remaining()
+            fields = {"timeout": deadline.remaining(), **fields}
         seq = self._next_seq()
+        payload = wire.encode_payload({**fields, "seq": seq})
         for handle in handles:
-            extra = (per_worker_params or {}).get(handle.incarnation_id, {})
-            self._send_command(handle, seq, op, deadline, **{**params, **extra})
+            self._send_command(handle, payload, deadline)
         wait, replies = deadline.for_outcome(), {}
         addressed = {handle.incarnation_id for handle in handles}
         while len(replies) < len(handles):
@@ -179,17 +177,16 @@ class Driver:
             if self._answers(msg, seq, channel.peer_id, addressed):
                 replies[channel.peer_id] = msg
         for handle in handles:
-            msg = replies.get(handle.incarnation_id)
-            if msg is not None and not msg.get("ok", False):
+            msg = replies[handle.incarnation_id]
+            if "error" in msg:
                 raise CommandFailure(rank=handle.rank,
                                      error=error_from_fields(msg))
         return replies
 
-    def command_all(self, op: str, per_worker_params=None,
-                    timeout: float | None = None, **params) -> dict:
+    def command_all(self, op: str, timeout: float | None = None,
+                    **params) -> dict:
         """Send one command to every worker and wait for every reply."""
-        return self._command(self.workers, op, per_worker_params, timeout,
-                             **params)
+        return self._command(self.workers, {**params, "op": op}, timeout)
 
     # -- scripted fleet operations ---------------------------------------------
 
@@ -235,7 +232,7 @@ class Driver:
             raise ProtocolError(
                 f"scale_out by {delta} reported {len(children)} children")
         # The first command to a child dials it by its descriptor.
-        pongs = self._command(children, "ping", timeout=deadline)
+        pongs = self._command(children, {"op": "ping"}, deadline)
         for handle in children:
             self._check_position(handle, pongs[handle.incarnation_id])
         self.workers.extend(children)
@@ -251,34 +248,32 @@ class Driver:
                 f"{got}, expected {(handle.rank, handle.epoch)}")
 
     def scale_in(self, delta: int, timeout: float | None = None) -> dict:
-        """Remove the ``delta`` highest-ranked workers; returns the remaining
-        rank-0 worker's timing reply, plus ``retiree_can_terminate``: each
-        retiree's host-retirement decision keyed by its incarnation id."""
+        """Remove the ``delta`` highest-ranked workers: every worker is told
+        how many ranks stay, and each survivor must answer at its own rank
+        and the next epoch (else ProtocolError). Returns the remaining rank-0
+        worker's timing reply, plus ``retiree_can_terminate``: each retiree's
+        host-retirement decision keyed by its incarnation id."""
         if not (1 <= delta < self.size):
             raise ValueError(
                 f"delta must be in [1, {self.size - 1}], got {delta}")
-        cutoff = self.size - delta
-        per_worker = {h.incarnation_id: {"is_removing": h.rank >= cutoff}
-                      for h in self.workers}
-        replies = self.command_all("scale_in", per_worker_params=per_worker,
-                                   timeout=timeout)
+        keep = self.size - delta
+        replies = self.command_all("scale_in", timeout=timeout, keep=keep)
 
-        removed = [h for h in self.workers if h.rank >= cutoff]
-        remaining = [h for h in self.workers if h.rank < cutoff]
         for handle in self.workers:
             msg = replies[handle.incarnation_id]
-            if bool(msg.get("retired")) != (handle.rank >= cutoff):
+            if bool(msg.get("retired")) != (handle.rank >= keep):
                 raise ProtocolError(f"worker rank {handle.rank} answered "
                                     f"retired={msg.get('retired')!r}")
-        for handle in remaining:
-            msg = replies[handle.incarnation_id]
-            handle.rank, handle.epoch = msg["rank"], msg["epoch"]
-        self.workers = sorted(remaining, key=lambda h: h.rank)
+        survivors, retirees = self.workers[:keep], self.workers[keep:]
+        for handle in survivors:
+            handle.epoch = self.epoch + 1
+            self._check_position(handle, replies[handle.incarnation_id])
+        self.workers = survivors
         self.epoch += 1
-        reply = dict(replies[self.workers[0].incarnation_id])
+        reply = dict(replies[survivors[0].incarnation_id])
         reply["retiree_can_terminate"] = {
             h.incarnation_id: replies[h.incarnation_id]["can_terminate"]
-            for h in removed}
+            for h in retirees}
         return reply
 
     def wait_for_exit(self, handles=None, timeout: float = 10.0) -> dict:

@@ -87,13 +87,13 @@ def init_new_process(node: Node | None = None,
     consumed by the merge. A parent that sends no parent roster is the
     driver, which is not a group member: the siblings alone are the group.
     One deadline bounds the attach and the merge. A node whose epoch fence
-    is past the ticket's epoch has already joined; it is refused."""
+    is at or past the ticket's epoch has joined already; it is refused."""
     if ticket is None:
         ticket = BootstrapTicket.from_env()
-    if node is not None and node.endpoint.fence > ticket.parent_epoch:
+    if node is not None and node.endpoint.fence >= ticket.parent_epoch:
         raise ProtocolError(
-            f"this node is at epoch {node.endpoint.fence}, past its parent's "
-            f"{ticket.parent_epoch}; it has already joined")
+            f"this node is at epoch {node.endpoint.fence}, not below its "
+            f"parent's {ticket.parent_epoch}; it has already joined")
     deadline = Deadline.of(timeout)
     inter = attach_parent(node=node, ticket=ticket, timeout=deadline)
     if not inter.remote_roster:

@@ -222,11 +222,12 @@ def unpack_body(body: bytes) -> Envelope:
     return Envelope(epoch, tag, src, dst, body[HEADER.size:])
 
 
-def read_exact(sock, n: int) -> bytes:
-    """Read exactly n bytes from a socket, or raise ConnectionError on EOF."""
+def read_exact(sock, n: int, deadline: Deadline) -> bytes:
+    """Read exactly n bytes by ``deadline``; ConnectionError on EOF."""
     chunks = []
     remaining = n
     while remaining > 0:
+        sock.settimeout(deadline.remaining())
         chunk = sock.recv(remaining)
         if not chunk:
             raise ConnectionError("connection closed while reading frame")
@@ -243,10 +244,13 @@ def _check_length(length: int) -> None:
 
 
 def read_envelope(sock) -> Envelope:
-    """Read one complete frame from a blocking socket."""
-    (length,) = LENGTH_PREFIX.unpack(read_exact(sock, LENGTH_PREFIX.size))
+    """Read one complete frame from a blocking socket, all of it within the
+    socket's timeout at entry: each ``recv`` gets only what is left of it."""
+    deadline = Deadline.of(sock.gettimeout())
+    (length,) = LENGTH_PREFIX.unpack(
+        read_exact(sock, LENGTH_PREFIX.size, deadline))
     _check_length(length)
-    return unpack_body(read_exact(sock, length))
+    return unpack_body(read_exact(sock, length, deadline))
 
 
 def cut_frames(buf: bytearray):

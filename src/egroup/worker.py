@@ -73,8 +73,8 @@ def _checked_timeout(op: str, cmd: dict):
              or _strings(labels) and len(labels) == num_add,
              "absent or a list of num_add strings")]
     elif op == "scale_in":
-        checks.append(("is_removing", type(cmd.get("is_removing")) is bool,
-                       "a bool"))
+        checks.append(("keep", type(cmd.get("keep")) is int
+                       and cmd["keep"] >= 1, "a positive int"))
     for field, ok, wanted in checks:
         if not ok:
             raise ProtocolError(
@@ -91,7 +91,7 @@ def _execute(group, cmd: dict):
     """Run one driver command. Returns the group to serve next (None after
     stop or retirement) and the reply body. The command's optional
     ``timeout`` field bounds the collectives it runs (DEFAULT_TIMEOUT
-    without one)."""
+    without one). A scale_in retires the workers at rank ``keep`` and up."""
     op = cmd.get("op")
     timeout = _checked_timeout(op, cmd)
     start = time.perf_counter()
@@ -123,7 +123,8 @@ def _execute(group, cmd: dict):
             "children": [m.to_fields() for m in group.roster[size_before:]],
             **_position(group)}
     if op == "scale_in":
-        outcome = scale_in(group, cmd["is_removing"], timeout=timeout)
+        outcome = scale_in(group, group.my_rank >= cmd["keep"],
+                           timeout=timeout)
         body = {"retired": isinstance(outcome.new_group, RetirementToken),
                 "can_terminate": outcome.can_terminate_host,
                 "total_s": time.perf_counter() - start,
@@ -148,9 +149,8 @@ def _serve(group) -> None:
             continue
         try:
             group, body = _execute(group, cmd)
-            body["ok"] = True
         except EGroupError as exc:
-            body = {"ok": False, **error_fields(exc)}
+            body = error_fields(exc)
         body["seq"] = cmd.get("seq")
         channel.send(Envelope(
             epoch=node.endpoint.fence, tag=wire.TAG_DRIVER_REPLY,

@@ -593,3 +593,65 @@ def test_check_sees_unread_reply_keys(tmp_path):
     assert list(unread_reply_keys(worker, [driver])) == [
         "worker.py:3 writes unread elapsed_s", "worker.py:4 writes unread stopped",
         "worker.py:6 writes unread rank", "worker.py:8 writes unread seq"]
+
+
+# The fields every command carries besides those its caller names: the op,
+# the sequence number and the seconds left.
+COMMAND_FIELDS = ("op", "seq", "timeout")
+
+
+def command_writes(path):
+    """Yield (line, field) for each keyword argument of a ``command_all``
+    call and each string key of a dict display passed to a ``_command``
+    call, in source order."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = sorted((node for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)),
+                   key=lambda n: (n.lineno, n.col_offset))
+    for call in calls:
+        name = getattr(call.func, "attr", getattr(call.func, "id", None))
+        if name == "command_all":
+            for keyword in call.keywords:
+                if keyword.arg is not None:
+                    yield keyword.value.lineno, keyword.arg
+        elif name == "_command":
+            for arg in call.args:
+                if isinstance(arg, ast.Dict):
+                    for key in arg.keys:
+                        if _string(key) is not None:
+                            yield key.lineno, _string(key)
+
+
+def unread_command_fields(driver_path, worker_path):
+    read = read_keys([worker_path])
+    for field in COMMAND_FIELDS:
+        if field not in read:
+            yield f"every command carries unread {field}"
+    for lineno, field in command_writes(driver_path):
+        if field not in read:
+            yield f"{driver_path.name}:{lineno} sends unread {field}"
+
+
+def test_every_command_field_is_read():
+    assert list(unread_command_fields(SRC / "driver.py",
+                                      SRC / "worker.py")) == []
+
+
+def test_check_sees_unread_command_fields(tmp_path):
+    driver = tmp_path / "driver.py"
+    driver.write_text("def scale_in(self):\n"
+                      "    self.command_all('scale_in', timeout=1, keep=2,\n"
+                      "                     is_removing=True, **extra)\n"
+                      "def ping(self):\n"
+                      "    self._command(self.workers, {'op': 'ping', 'probe': 1})\n"
+                      "other.call(extra=1, fields={'unsent': 1})\n")
+    worker = tmp_path / "worker.py"
+    worker.write_text("def _execute(cmd):\n"
+                      "    op, keep = cmd.get('op'), cmd['keep']\n"
+                      "    timeout = cmd.get('timeout', 3)\n"
+                      "    cmd['is_removing'] = True\n"
+                      "    print('probe')\n")
+    assert list(unread_command_fields(driver, worker)) == [
+        "every command carries unread seq",
+        "driver.py:3 sends unread is_removing",
+        "driver.py:5 sends unread probe"]

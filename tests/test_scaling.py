@@ -20,7 +20,13 @@ from egroup import (
 from egroup.collectives import allgather, barrier, merge
 from egroup.errors import DeadlineExceeded, ProtocolError, SpawnError
 from egroup.scaling import init_new_process, scale_in, scale_out
-from egroup.spawner import BootstrapTicket, LocalProcessLauncher, SpawnSpec, spawn
+from egroup.spawner import (
+    BootstrapTicket,
+    LocalProcessLauncher,
+    SpawnSpec,
+    launch_and_register,
+    spawn,
+)
 
 from conftest import cluster, run_members
 from test_host_termination import naive_can_terminate
@@ -168,6 +174,39 @@ class TestScaleOut:
                 assert isinstance(world.double_init_error[0], ProtocolError)
         finally:
             world.close()
+
+    def test_second_init_after_joining_a_bare_root_rejected(self):
+        # A bare root's children join without a merge, so a child's fence
+        # stays at its ticket's epoch: a second call is refused at once,
+        # without dialing the root again.
+        joined, done = [], threading.Event()
+
+        def child(env):
+            ticket = BootstrapTicket.from_env(env)
+            node = Node(host_label=ticket.host_label)
+            try:
+                init_new_process(node=node, ticket=ticket, timeout=10)
+                joined.append((node, ticket))
+            except Exception:
+                node.close()
+                raise
+            finally:
+                done.set()
+
+        with Node(host_label="root") as root:
+            launch_and_register(root, SpawnSpec(program="-", count=1),
+                                ThreadLauncher(child), 10, handles=[])
+            assert done.wait(10) and joined
+            node, ticket = joined[0]
+            try:
+                channels = dict(root.endpoint.channels)
+                start = time.monotonic()
+                with pytest.raises(ProtocolError, match="already joined"):
+                    init_new_process(node=node, ticket=ticket, timeout=1.0)
+                assert time.monotonic() - start < 1.0
+                assert root.endpoint.channels == channels
+            finally:
+                node.close()
 
     def test_failed_merge_closes_the_node_init_made(self):
         # Both sides pass high=True, so the merge fails on both.

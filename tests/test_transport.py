@@ -160,6 +160,40 @@ def test_handshake_that_outlives_the_deadline_is_deadline_exceeded():
         a.close()
 
 
+def test_handshake_reply_trickled_past_the_deadline_is_deadline_exceeded():
+    # A listener that answers the hello with the length prefix of a 32-byte
+    # frame, then sends one byte every 0.2 s: the deadline bounds the whole
+    # read of the reply, not each recv.
+    server = socket.create_server(("127.0.0.1", 0))
+    stop = threading.Event()
+
+    def trickle():
+        conn, _ = server.accept()
+        with conn:
+            wire.read_envelope(conn)
+            conn.sendall(wire.LENGTH_PREFIX.pack(32))
+            while not stop.wait(0.2):
+                try:
+                    conn.sendall(b"\x00")
+                except OSError:
+                    return
+
+    thread = threading.Thread(target=trickle, daemon=True)
+    thread.start()
+    a = make_endpoint("a")
+    try:
+        host, port = server.getsockname()
+        start = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            a.connect(f"{host}:{port}", timeout=0.5)
+        assert time.monotonic() - start < 1.0
+    finally:
+        stop.set()
+        thread.join(5)
+        server.close()
+        a.close()
+
+
 def forged_peer(reply: dict):
     """A listener that answers one hello with ``reply`` as its payload and
     then holds the connection open; returns (address, close)."""

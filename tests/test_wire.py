@@ -296,9 +296,10 @@ def wire_messages():
                            "num_add": 2, "child_program": sys.executable,
                            "child_args": ["-S", "-c", "main()"],
                            "host_labels": ["node0", "node1"]},
-        "scale_in_command": {"op": "scale_in", "seq": 8, "is_removing": True},
-        "worker_reply": {"ok": True, "seq": 7, "ids": ["a.1", "b.2"]},
-        "error_reply": {"ok": False, "seq": 9,
+        "scale_in_command": {"op": "scale_in", "seq": 8, "timeout": 30.0,
+                             "keep": 3},
+        "worker_reply": {"seq": 7, "ids": ["a.1", "b.2"]},
+        "error_reply": {"seq": 9,
                         **errors.error_fields(errors.SpawnError("no"))},
     }
 

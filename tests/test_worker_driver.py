@@ -91,22 +91,23 @@ class TestFleet:
             drv.start_fleet(2)
             # A command whose replies nobody collects: they arrive while the
             # driver waits on the next command.
-            late = drv._next_seq()
+            late = wire.encode_payload({"op": "ping", "seq": drv._next_seq()})
             for handle in drv.workers:
-                drv._send_command(handle, late, "ping")
+                drv._send_command(handle, late, 10.0)
             drv.barrier()
             pings = drv.ping()
             assert sorted(m["rank"] for m in pings.values()) == [0, 1]
             # scale_out matches its replies by the same rule.
-            late = drv._next_seq()
+            late = wire.encode_payload({"op": "ping", "seq": drv._next_seq()})
             for handle in drv.workers:
-                drv._send_command(handle, late, "ping")
+                drv._send_command(handle, late, 10.0)
             assert drv.scale_out(1)["size"] == 3
 
     def test_reply_to_unsent_command_raises(self):
         with Driver(timeout=30) as drv:
             drv.start_fleet(2)
-            drv._send_command(drv.workers[0], drv._seq + 5, "ping")
+            drv._send_command(drv.workers[0], wire.encode_payload(
+                {"op": "ping", "seq": drv._seq + 5}), 10.0)
             with pytest.raises(ProtocolError, match="never sent"):
                 drv.barrier()
 
@@ -121,7 +122,7 @@ class TestFleet:
             with Driver(timeout=30) as drv:
                 start = time.monotonic()
                 with pytest.raises(DeadlineExceeded):
-                    drv._command([handle], "ping", timeout=1.0)
+                    drv._command([handle], {"op": "ping"}, timeout=1.0)
                 assert time.monotonic() - start < 2.0
         finally:
             silent.close()
@@ -129,7 +130,7 @@ class TestFleet:
     def test_reply_on_a_strangers_channel_is_dropped(self):
         with Driver(timeout=30) as drv:
             drv.start_fleet(2)
-            forged = {"seq": drv._seq + 1, "ok": True, "rank": 7, "epoch": 0,
+            forged = {"seq": drv._seq + 1, "rank": 7, "epoch": 0,
                       "size": 2, "id": drv.workers[1].incarnation_id}
             stranger = transport.listen("127.0.0.1:0", "stranger")
             try:
@@ -250,10 +251,11 @@ class TestFleet:
         assert elapsed < 8.0
 
 
-# One row per malformed command, sent to every worker: the op, its fields,
-# and the field the error reply must name.
+# One row per malformed command, sent to every worker: the op, its fields
+# (a timeout among them is sent as given), and the field the error reply
+# must name.
 MALFORMED = {
-    "missing-is_removing": ("scale_in", {}, "is_removing"),
+    "missing-keep": ("scale_in", {}, "keep"),
     "missing-num_add": ("scale_out", {"child_program": "unused"}, "num_add"),
     "missing-child_program": ("scale_out", {"num_add": 1}, "child_program"),
     "num_add-str": ("scale_out", {"num_add": "2",
@@ -266,8 +268,9 @@ MALFORMED = {
     "timeout-negative": ("barrier", {"timeout": -1.5}, "timeout"),
     "timeout-null": ("barrier", {"timeout": None}, "timeout"),
     "timeout-inf": ("barrier", {"timeout": float("inf")}, "timeout"),
-    "is_removing-str": ("scale_in", {"is_removing": "false"}, "is_removing"),
-    "is_removing-int": ("scale_in", {"is_removing": 0}, "is_removing"),
+    "keep-str": ("scale_in", {"keep": "1"}, "keep"),
+    "keep-bool": ("scale_in", {"keep": True}, "keep"),
+    "keep-zero": ("scale_in", {"keep": 0}, "keep"),
     "host_labels-too-many": ("scale_out", {
         "num_add": 1, "child_program": sys.executable,
         "host_labels": ["a", "b"]}, "host_labels"),
@@ -306,10 +309,9 @@ class TestMalformedCommand:
     @pytest.mark.parametrize("op, params, field", MALFORMED.values(),
                              ids=MALFORMED.keys())
     def test_gets_an_error_reply(self, fleet, op, params, field):
-        per_worker = {h.incarnation_id: params for h in fleet.workers}
         start = time.monotonic()
         with pytest.raises(CommandFailure, match=field) as excinfo:
-            fleet.command_all(op, per_worker_params=per_worker)
+            fleet._command(fleet.workers, {"op": op, **params})
         assert isinstance(excinfo.value.error, ProtocolError)
         assert time.monotonic() - start < 2
         # Every worker is still serving, at its old rank and epoch.
@@ -437,6 +439,49 @@ class TestFleetScaling:
             assert reply["can_terminate"] is False
             assert reply["retiree_can_terminate"] == dict.fromkeys(retirees, True)
             assert reply["rank"] == 0 and reply["size"] == 4
+
+    def test_every_worker_gets_the_same_payload(self, monkeypatch):
+        with Driver(timeout=30) as drv:
+            drv.start_fleet(3)
+            sent, send_to = {}, drv.node.send_to
+
+            def record(member, envelope, *args):
+                seq = wire.decode_payload(envelope.payload)["seq"]
+                sent.setdefault(seq, []).append(
+                    (member.incarnation_id, envelope.payload))
+                send_to(member, envelope, *args)
+
+            monkeypatch.setattr(drv.node, "send_to", record)
+            drv.barrier()
+            drv.scale_out(1)
+            drv.scale_in(2)
+        commands = [(wire.decode_payload(sends[0][1])["op"],
+                     len({member for member, _ in sends}),
+                     len({payload for _, payload in sends}))
+                    for _, sends in sorted(sent.items())]
+        assert commands == [("barrier", 3, 1), ("scale_out", 3, 1),
+                            ("ping", 1, 1), ("scale_in", 4, 1), ("stop", 2, 1)]
+
+    @pytest.mark.parametrize("rank, epoch", [(2, 1), (1, 0), (1, 2)],
+                             ids=["wrong-rank", "old-epoch", "future-epoch"])
+    def test_scale_in_refuses_a_survivor_out_of_position(self, monkeypatch,
+                                                        rank, epoch):
+        # Stubbed replies from three workers scaled in by one: rank 1 stays
+        # but answers at another rank or epoch.
+        with Driver(timeout=30) as drv:
+            drv.workers = [WorkerHandle(member=MemberDescriptor(
+                "node0", "127.0.0.1:1", f"w.{i}"), rank=i, epoch=0)
+                for i in range(3)]
+            stays = {"retired": False, "can_terminate": False,
+                     "total_s": 0.0, "size": 2}
+            replies = {
+                "w.0": {**stays, "rank": 0, "epoch": 1},
+                "w.1": {**stays, "rank": rank, "epoch": epoch},
+                "w.2": {"retired": True, "can_terminate": True,
+                        "total_s": 0.0, "epoch": 1}}
+            monkeypatch.setattr(drv, "_command", lambda *a, **k: replies)
+            with pytest.raises(ProtocolError, match="w.1"):
+                drv.scale_in(1)
 
     def test_scale_in_delta_bounds(self):
         with Driver(timeout=30) as drv:
